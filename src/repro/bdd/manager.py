@@ -5,7 +5,8 @@ Brace/Rudell/Bryant's ``ite``-based packages:
 
 * a *unique table* guarantees that structurally identical nodes are shared,
   which makes equality of boolean functions a pointer comparison;
-* a *computed cache* memoizes ``ite`` calls;
+* a *computed cache* memoizes ``ite`` calls, and a second one memoizes
+  inclusion tests (:meth:`BDDManager.leq`), which never build nodes;
 * complement edges are **not** used -- negation is an ordinary ``ite`` --
   to keep the code straightforward and easy to audit.
 
@@ -26,7 +27,7 @@ raised.  The Figure 13 benchmark uses this to reproduce the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ResourceLimitExceeded
 
@@ -115,8 +116,13 @@ class BDD:
         return ~(self ^ self._coerce(other))
 
     def implies(self, other: "BDD") -> bool:
-        """Whether ``self -> other`` is a tautology (set inclusion)."""
-        return (self & ~self._coerce(other)).is_false
+        """Whether ``self -> other`` is a tautology (set inclusion).
+
+        Decided by :meth:`BDDManager.leq` without building ``self & ~other``:
+        the test allocates no node, so asking it leaves the unique table as
+        it was.
+        """
+        return self.manager.leq(self, self._coerce(other))
 
     # -- queries -----------------------------------------------------------
     def node_count(self) -> int:
@@ -168,11 +174,12 @@ class BDDManager:
         ]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
+        self._leq_cache: Dict[Tuple[int, int], bool] = {}
         self._var_names: List[str] = []
         self._name_to_level: Dict[str, int] = {}
         self.max_nodes = max_nodes
-        #: memoize ``ite`` calls; disabling this is only useful for the
-        #: cache-effect ablation benchmark
+        #: memoize ``ite`` calls and inclusion tests; disabling this is only
+        #: useful for the cache-effect ablation benchmark
         self.use_computed_cache = use_computed_cache
 
     _TERMINAL_LEVEL = 1 << 30
@@ -216,6 +223,7 @@ class BDDManager:
             "vars": self.num_vars,
             "unique_table_entries": len(self._unique),
             "ite_cache_entries": len(self._ite_cache),
+            "leq_cache_entries": len(self._leq_cache),
         }
 
     def fresh_like(self) -> "BDDManager":
@@ -223,7 +231,7 @@ class BDDManager:
 
         This is the recycling primitive of the service's pool hygiene: the
         replacement manager must inherit the node budget and computed-cache
-        setting, never the (grown) unique table.
+        setting, never the (grown) unique table or its computed caches.
         """
         return BDDManager(
             max_nodes=self.max_nodes, use_computed_cache=self.use_computed_cache
@@ -288,15 +296,21 @@ class BDDManager:
             cached = self._ite_cache.get(key)
             if cached is not None:
                 return cached
-        level = min(self._level(f), self._level(g), self._level(h))
-
-        def cofactor(ref: int, positive: bool) -> int:
-            if self._level(ref) != level:
-                return ref
-            return self._high(ref) if positive else self._low(ref)
-
-        high = self._ite(cofactor(f, True), cofactor(g, True), cofactor(h, True))
-        low = self._ite(cofactor(f, False), cofactor(g, False), cofactor(h, False))
+        f_level, f_low, f_high = self._nodes[f]
+        g_level, g_low, g_high = self._nodes[g]
+        h_level, h_low, h_high = self._nodes[h]
+        level = min(f_level, g_level, h_level)
+        # Cofactors: an operand whose top variable is below ``level`` does
+        # not depend on it.  The high branch is built first, which fixes the
+        # numbering of the nodes it allocates.
+        if f_level != level:
+            f_low = f_high = f
+        if g_level != level:
+            g_low = g_high = g
+        if h_level != level:
+            h_low = h_high = h
+        high = self._ite(f_high, g_high, h_high)
+        low = self._ite(f_low, g_low, h_low)
         result = self._mk(level, low, high)
         if self.use_computed_cache:
             self._ite_cache[key] = result
@@ -304,6 +318,39 @@ class BDDManager:
 
     def ite(self, f: BDD, g: BDD, h: BDD) -> BDD:
         return BDD(self, self._ite(f.ref, g.ref, h.ref))
+
+    # -- inclusion -------------------------------------------------------------------
+    def _leq(self, f: int, g: int) -> bool:
+        # Terminal cases: FALSE is below everything, everything is below TRUE.
+        if f == g or f == self.FALSE or g == self.TRUE:
+            return True
+        if f == self.TRUE or g == self.FALSE:
+            return False
+        key = (f, g)
+        if self.use_computed_cache:
+            cached = self._leq_cache.get(key)
+            if cached is not None:
+                return cached
+        f_level, f_low, f_high = self._nodes[f]
+        g_level, g_low, g_high = self._nodes[g]
+        level = min(f_level, g_level)
+        if f_level != level:
+            f_low = f_high = f
+        if g_level != level:
+            g_low = g_high = g
+        result = self._leq(f_high, g_high) and self._leq(f_low, g_low)
+        if self.use_computed_cache:
+            self._leq_cache[key] = result
+        return result
+
+    def leq(self, f: BDD, g: BDD) -> bool:
+        """Whether ``f <= g``, i.e. ``f -> g`` is a tautology.
+
+        A recursive subset test on the two graphs (CUDD's ``Cudd_bddLeq``):
+        ``f <= g`` iff both cofactor pairs on the top variable are ordered.
+        It allocates no node, unlike testing ``f & ~g`` for false.
+        """
+        return self._leq(f.ref, g.ref)
 
     # -- boolean connectives ---------------------------------------------------------
     def apply_and(self, f: BDD, g: BDD) -> BDD:
@@ -463,8 +510,9 @@ class BDDManager:
             stack.append(high)
 
     def clear_caches(self) -> None:
-        """Drop the computed cache (the unique table is kept)."""
+        """Drop the computed caches (the unique table is kept)."""
         self._ite_cache.clear()
+        self._leq_cache.clear()
 
     # -- namespacing -----------------------------------------------------------
     def scoped(self, namespace: str) -> "ScopedBDDManager":

@@ -282,7 +282,10 @@ class ClockHierarchy:
         ``bdd_nodes`` counts the nodes reachable from this hierarchy's own
         classes and is always per-program; ``bdd_nodes_total`` is the
         manager-wide table size, so on a pooled (service) manager it covers
-        every program compiled on the pool.
+        every program compiled on the pool.  It counts every node the
+        manager ever allocated, intermediate results included, so it
+        measures the cost of the calculus rather than its output: inclusion
+        tests (:meth:`BDD.implies`) allocate nothing and add nothing to it.
         """
         bdd_nodes = 0
         seen_refs: Set[int] = set()
@@ -691,7 +694,7 @@ class ArborescentResolver:
             node = ClockNode(clock_class)
             clock_class.node = node
             if self.deepest_insertion:
-                parent = self._deepest_admissible_parent(forest, clock_class, exclude=node)
+                parent = self._deepest_admissible_parent(forest, node)
             else:
                 parent = self._shallowest_admissible_parent(forest, clock_class)
             if parent is None:
@@ -735,28 +738,34 @@ class ArborescentResolver:
                 parent.add_child(node)
 
     def _deepest_admissible_parent(
-        self,
-        forest: ClockForest,
-        clock_class: ClockClass,
-        exclude: Optional[ClockNode] = None,
+        self, forest: ClockForest, node: ClockNode
     ) -> Optional[ClockNode]:
-        """The deepest node whose clock includes ``clock_class`` (Figure 12)."""
-        assert clock_class.bdd is not None
+        """The deepest node outside ``node``'s subtree whose clock includes it (Figure 12).
+
+        Every forest edge satisfies child ⊆ parent: a partition child
+        restricts its parent, and a formula node is only ever attached under
+        a node that includes it.  A node that does not include the class
+        therefore has no descendant that does, so the search descends from
+        the roots only into including subtrees.  It meets the admissible
+        nodes in the pre-order of :meth:`ClockForest.iter_nodes` and keeps
+        the first one of maximal depth -- the node a scan of the whole
+        forest would choose.
+        """
+        target = node.clock_class.bdd
+        assert target is not None
         best: Optional[ClockNode] = None
         best_depth = -1
-        for node in forest.iter_nodes():
-            if exclude is not None and exclude.is_ancestor_of(node):
+        stack = [(root, 0) for root in reversed(forest.roots)]
+        while stack:
+            candidate, depth = stack.pop()
+            # Each class owns one node, so skipping ``node``'s subtree also
+            # skips the class itself.
+            if candidate is node or not target.implies(candidate.clock_class.bdd):
                 continue
-            if node.clock_class is clock_class:
-                continue
-            other = node.clock_class.bdd
-            if other is None:
-                continue
-            if clock_class.bdd.implies(other):
-                depth = node.depth
-                if depth > best_depth:
-                    best = node
-                    best_depth = depth
+            if depth > best_depth:
+                best = candidate
+                best_depth = depth
+            stack.extend((child, depth + 1) for child in reversed(candidate.children))
         return best
 
     def _fusion_pass(self, forest: ClockForest) -> None:
@@ -777,9 +786,7 @@ class ArborescentResolver:
             for node in list(forest.iter_nodes()):
                 if not isinstance(node.clock_class.definition, FormulaDefinition):
                     continue
-                best = self._deepest_admissible_parent(
-                    forest, node.clock_class, exclude=node
-                )
+                best = self._deepest_admissible_parent(forest, node)
                 if best is None:
                     continue
                 current_depth = node.parent.depth if node.parent is not None else -1

@@ -450,6 +450,11 @@ def _build_flat(builder: _StepBuilder) -> List[Stmt]:
 # ---------------------------------------------------------------------------
 
 
+#: an item of a tree node: ``("signal", name)`` computed at the node itself,
+#: or ``("child", node)`` for a whole child subtree
+_Item = Tuple[str, object]
+
+
 class _HierarchicalBuilder:
     """Builds nested guards following the clock forest.
 
@@ -472,6 +477,13 @@ class _HierarchicalBuilder:
             self.node_signals.setdefault(clock_class.id, []).append(signal)
         for signals in self.node_signals.values():
             signals.sort(key=self._signal_rank)
+        # One walk of the forest: every node's path from its root and the
+        # smallest clock rank in its subtree (the rank of a child item).
+        self._path: Dict[ClockNode, Tuple[ClockNode, ...]] = {}
+        self._min_rank: Dict[ClockNode, int] = {}
+        for root in self.forest.roots:
+            self._index_subtree(root, ())
+        self._local_edges = self._file_local_edges()
 
     def _signal_rank(self, signal: str) -> int:
         return self._action_rank(ComputeSignal(signal))
@@ -479,30 +491,62 @@ class _HierarchicalBuilder:
     def _action_rank(self, action: Action) -> int:
         return self._rank.get(action, len(self._rank))
 
-    # -- home nodes and LCAs ------------------------------------------------------------
-    def _home_node(self, action: Action) -> Optional[ClockNode]:
+    def _index_subtree(self, node: ClockNode, prefix: Tuple[ClockNode, ...]) -> int:
+        path = prefix + (node,)
+        self._path[node] = path
+        rank = self._action_rank(ComputeClock(node.clock_class.id))
+        for child in node.children:
+            rank = min(rank, self._index_subtree(child, path))
+        self._min_rank[node] = rank
+        return rank
+
+    # -- home nodes and local constraints -------------------------------------------------
+    def _home_path(self, action: Action) -> Optional[Tuple[ClockNode, ...]]:
+        """The root path of the tree node ``action`` runs at, if it has one."""
         if isinstance(action, ComputeSignal):
             clock_class = self.schedule.signal_class.get(action.signal)
         else:
             clock_class = self.builder.class_by_id.get(action.class_id)
         if clock_class is None:
             return None
-        return clock_class.node
+        return self._path.get(clock_class.node)
 
     @staticmethod
-    def _ancestor_chain(node: ClockNode) -> List[ClockNode]:
-        return list(node.ancestors())
+    def _item_at(action: Action, path: Tuple[ClockNode, ...], depth: int) -> Optional[_Item]:
+        """The item containing ``action`` at the ancestor with ``depth`` nodes above it."""
+        if len(path) > depth:
+            return ("child", path[depth])
+        if isinstance(action, ComputeSignal):
+            return ("signal", action.signal)
+        return None  # the node's own flag is set before its guard, not an item
 
-    def _item_of(self, node: ClockNode, descendant: ClockNode):
-        """The item of ``node`` that contains ``descendant`` (a child, or the node itself)."""
-        if descendant is node:
-            return ("self", None)
-        chain = self._ancestor_chain(descendant)
-        for index, ancestor in enumerate(chain):
-            if ancestor is node:
-                child = chain[index - 1]
-                return ("child", child)
-        return (None, None)
+    def _file_local_edges(self) -> Dict[Optional[ClockNode], Set[Tuple[_Item, _Item]]]:
+        """Every scheduling constraint, filed under the node that must order it.
+
+        Above the lowest common ancestor of its two home nodes both
+        endpoints lie in one item, so a constraint orders items of that
+        ancestor only (of the forest, keyed ``None``, across trees).
+        """
+        edges: Dict[Optional[ClockNode], Set[Tuple[_Item, _Item]]] = {}
+        for action, prerequisites in self.schedule.prerequisites.items():
+            target_path = self._home_path(action)
+            if target_path is None:
+                continue
+            for prerequisite in prerequisites:
+                source_path = self._home_path(prerequisite)
+                if source_path is None:
+                    continue
+                depth = 0
+                limit = min(len(source_path), len(target_path))
+                while depth < limit and source_path[depth] is target_path[depth]:
+                    depth += 1
+                source_item = self._item_at(prerequisite, source_path, depth)
+                target_item = self._item_at(action, target_path, depth)
+                if source_item is None or target_item is None or source_item == target_item:
+                    continue
+                owner = target_path[depth - 1] if depth else None
+                edges.setdefault(owner, set()).add((source_item, target_item))
+        return edges
 
     # -- emission --------------------------------------------------------------------------
     def build(self) -> List[Stmt]:
@@ -565,69 +609,30 @@ class _HierarchicalBuilder:
         children: Sequence[ClockNode],
         signals: Sequence[str],
     ):
-        items: List[Tuple[str, object]] = [("signal", s) for s in signals]
+        items: List[_Item] = [("signal", s) for s in signals]
         items += [("child", c) for c in children]
-
-        # Map every action under this node to its item.
-        action_item: Dict[Action, Tuple[str, object]] = {}
-        for signal in signals:
-            action_item[ComputeSignal(signal)] = ("signal", signal)
-        for child in children:
-            for descendant in child.iter_subtree():
-                action_item[ComputeClock(descendant.clock_class.id)] = ("child", child)
-                for signal in self.node_signals.get(descendant.clock_class.id, []):
-                    action_item[ComputeSignal(signal)] = ("child", child)
-
-        edges: Set[Tuple[int, int]] = set()
-        item_index = {
-            self._item_key(item): index for index, item in enumerate(items)
+        item_index = {item: index for index, item in enumerate(items)}
+        edges = {
+            (item_index[source], item_index[target])
+            for source, target in self._local_edges.get(node, ())
         }
-
-        def key_of(item: Tuple[str, object]) -> int:
-            return item_index[self._item_key(item)]
-
-        for action, prerequisites in self.schedule.prerequisites.items():
-            target_item = action_item.get(action)
-            if target_item is None:
-                continue
-            for prerequisite in prerequisites:
-                source_item = action_item.get(prerequisite)
-                if source_item is None:
-                    continue
-                source_key = key_of(source_item)
-                target_key = key_of(target_item)
-                if source_key != target_key:
-                    edges.add((source_key, target_key))
         return edges, items
-
-    @staticmethod
-    def _item_key(item: Tuple[str, object]):
-        kind, payload = item
-        if kind == "signal":
-            return ("signal", payload)
-        return ("child", id(payload))
 
     def _order_items(
         self,
-        items: List[Tuple[str, object]],
+        items: List[_Item],
         edges: Set[Tuple[int, int]],
         node_label: str,
-    ) -> List[Tuple[str, object]]:
+    ) -> List[_Item]:
         count = len(items)
         prerequisites: Dict[int, Set[int]] = {i: set() for i in range(count)}
         for source, target in edges:
             prerequisites[target].add(source)
 
-        def item_rank(index: int) -> int:
-            kind, payload = items[index]
-            if kind == "signal":
-                return self._action_rank(ComputeSignal(payload))
-            ranks = [
-                self._action_rank(ComputeClock(d.clock_class.id))
-                for d in payload.iter_subtree()
-            ]
-            return min(ranks) if ranks else 0
-
+        ranks = [
+            self._signal_rank(payload) if kind == "signal" else self._min_rank[payload]
+            for kind, payload in items
+        ]
         remaining = set(range(count))
         ordered: List[int] = []
         while remaining:
@@ -641,7 +646,7 @@ class _HierarchicalBuilder:
                     "cannot nest code for clock "
                     f"{node_label}: interleaved dependencies between {names}"
                 )
-            ready.sort(key=item_rank)
+            ready.sort(key=ranks.__getitem__)
             chosen = ready[0]
             remaining.remove(chosen)
             ordered.append(chosen)

@@ -403,9 +403,15 @@ def compile_step(
     style: GenerationStyle = GenerationStyle.HIERARCHICAL,
     observable: bool = True,
     name: Optional[str] = None,
+    ir: Optional[StepIR] = None,
 ) -> CompiledProcess:
-    """Generate, execute and wrap the Python step for a scheduled program."""
-    ir = build_step_ir(schedule, types, style, name)
+    """Generate, execute and wrap the Python step for a scheduled program.
+
+    ``ir`` is the already-built step IR of ``style``, when the caller has
+    one (a compilation shares one IR per style among all its emitters).
+    """
+    if ir is None:
+        ir = build_step_ir(schedule, types, style, name)
     source = generate_python_source(ir, observable=observable)
     instance = _instantiate_step(source, ir.name, observable)
     return CompiledProcess(

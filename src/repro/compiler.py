@@ -92,6 +92,11 @@ class CompilationResult:
     executable: CompiledProcess
     #: compiled executable step, flat (single-loop) style
     executable_flat: Optional[CompiledProcess] = None
+    #: one step IR per generation style, shared by the executables and every
+    #: emitted source (see :meth:`step_ir`)
+    _step_irs: Dict[GenerationStyle, StepIR] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # -- convenience accessors -----------------------------------------------
     @property
@@ -103,12 +108,10 @@ class CompilationResult:
         return KernelInterpreter(self.program, self.types)
 
     def python_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        ir = build_step_ir(self.schedule, self.types, style)
-        return generate_python_source(ir)
+        return generate_python_source(self.step_ir(style))
 
     def c_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        ir = build_step_ir(self.schedule, self.types, style)
-        return generate_c_source(ir)
+        return generate_c_source(self.step_ir(style))
 
     def c_shared_source(
         self, style: GenerationStyle = GenerationStyle.HIERARCHICAL
@@ -120,11 +123,19 @@ class CompilationResult:
         ``step_many`` entry point, so it can be built with ``cc -shared``
         and driven for whole populations by :mod:`repro.runtime.mass`.
         """
-        ir = build_step_ir(self.schedule, self.types, style)
-        return generate_c_shared_source(ir)
+        return generate_c_shared_source(self.step_ir(style))
 
     def step_ir(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> StepIR:
-        return build_step_ir(self.schedule, self.types, style)
+        """The step IR of ``style``, built at most once per result.
+
+        The IR is a pure function of the schedule and the style, so the
+        python, C and ``c_shared`` emitters all render the same object.
+        """
+        ir = self._step_irs.get(style)
+        if ir is None:
+            ir = build_step_ir(self.schedule, self.types, style)
+            self._step_irs[style] = ir
+        return ir
 
     def tree_text(self) -> str:
         """The forest of clock trees plus the free clocks, as printed text.
@@ -213,11 +224,17 @@ def compile_process(
     graph.check_causality(hierarchy)
     schedule = build_schedule(program, hierarchy, graph)
 
-    executable = compile_step(schedule, types, style=style, observable=observable)
+    step_irs = {style: build_step_ir(schedule, types, style)}
+    executable = compile_step(
+        schedule, types, style=style, observable=observable, ir=step_irs[style]
+    )
     executable_flat = None
     if build_flat:
+        flat = GenerationStyle.FLAT
+        if flat not in step_irs:
+            step_irs[flat] = build_step_ir(schedule, types, flat)
         executable_flat = compile_step(
-            schedule, types, style=GenerationStyle.FLAT, observable=observable
+            schedule, types, style=flat, observable=observable, ir=step_irs[flat]
         )
 
     return CompilationResult(
@@ -230,6 +247,7 @@ def compile_process(
         schedule=schedule,
         executable=executable,
         executable_flat=executable_flat,
+        _step_irs=step_irs,
     )
 
 

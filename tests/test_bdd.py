@@ -185,6 +185,44 @@ class TestQueries:
         assert (a & b) == f
 
 
+class TestInclusionCache:
+    """The inclusion memo follows the same rules as the ``ite`` cache."""
+
+    @staticmethod
+    def _ask(manager):
+        a, b, c = (manager.declare(name) for name in "abc")
+        assert (a & b & c).implies(a | c)
+        assert not (a | b).implies(a & c)
+
+    def test_statistics_report_the_memo(self, manager):
+        assert manager.statistics()["leq_cache_entries"] == 0
+        self._ask(manager)
+        assert manager.statistics()["leq_cache_entries"] > 0
+
+    def test_disabled_computed_cache_disables_the_memo(self):
+        manager = BDDManager(use_computed_cache=False)
+        self._ask(manager)
+        assert manager.statistics()["leq_cache_entries"] == 0
+        assert manager.statistics()["ite_cache_entries"] == 0
+
+    def test_clear_caches_drops_the_memo(self, manager):
+        self._ask(manager)
+        manager.clear_caches()
+        assert manager.statistics()["leq_cache_entries"] == 0
+        self._ask(manager)
+
+    def test_recycled_manager_starts_without_the_memo(self, manager):
+        self._ask(manager)
+        fresh = manager.fresh_like()
+        assert fresh.statistics()["leq_cache_entries"] == 0
+        assert fresh.use_computed_cache == manager.use_computed_cache
+
+    def test_scoped_view_shares_the_base_memo(self, manager):
+        scope = manager.scoped("P")
+        self._ask(scope)
+        assert manager.statistics()["leq_cache_entries"] > 0
+
+
 class TestResourceLimits:
     def test_node_budget(self):
         manager = BDDManager(max_nodes=6)
@@ -320,3 +358,43 @@ def test_negation_is_involutive_and_complements_count(formula):
     bdd = _to_bdd(manager, formula)
     assert ~~bdd == bdd
     assert bdd.satisfy_count(_NUM_VARS) + (~bdd).satisfy_count(_NUM_VARS) == 2 ** _NUM_VARS
+
+
+def _constructive_implies(first, second):
+    """The reference inclusion test: build ``first & ~second``, compare with false."""
+    return (first & ~second).is_false
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas(), formulas(), st.sampled_from(["any", "meet", "join"]))
+def test_implies_matches_constructive_inclusion(first, second, shape):
+    """``f.implies(g)`` decides ``f & ~g == 0`` without allocating a node.
+
+    ``meet``/``join`` derive one operand from the other so that inclusion
+    holds in a good share of the examples (random pairs rarely include
+    each other); constants and operands whose top variables sit at
+    different levels come from the formula strategy itself.
+    """
+    manager = BDDManager()
+    for index in range(_NUM_VARS):
+        manager.declare(f"p{index}")
+    f = _to_bdd(manager, first)
+    g = _to_bdd(manager, second)
+    if shape == "meet":
+        f = f & g
+    elif shape == "join":
+        g = f | g
+    pairs = [(f, g), (g, f), (f, f), (f, ~f), (manager.true, f), (f, manager.false)]
+    for left, right in pairs:
+        before = manager.num_nodes
+        answer = left.implies(right)
+        assert manager.num_nodes == before
+        assert answer == _constructive_implies(left, right)
+        # Inclusion is the subset relation on satisfying assignments.
+        assert answer == all(
+            right.evaluate(assignment)
+            for assignment in (
+                dict(enumerate(values)) for values in _all_assignments(_NUM_VARS)
+            )
+            if left.evaluate(assignment)
+        )
