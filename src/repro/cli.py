@@ -28,9 +28,7 @@ toolchain is installed)::
 cache), optionally in parallel::
 
     python -m repro batch a.sig b.sig c.sig      # sequential, pooled manager
-    python -m repro batch *.sig --jobs 4         # 4 worker threads
-    python -m repro batch *.sig --jobs 4 --workers processes   # 4 worker processes
-    python -m repro batch *.sig --shards 4       # shard the pooled manager
+    python -m repro batch *.sig --jobs 4         # 4 worker processes
     python -m repro batch *.sig --repeat 3       # demonstrate cache hits
     python -m repro batch *.sig --cache-stats    # print service statistics
     python -m repro batch *.sig --max-pool-nodes 200000   # recycle watermark
@@ -110,7 +108,6 @@ __all__ = [
     "build_remote_argument_parser",
     "build_simulate_argument_parser",
     "build_partition_argument_parser",
-    "resolve_serve_workers",
 ]
 
 
@@ -175,26 +172,9 @@ def build_batch_argument_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="number of workers (default 1: sequential on the pooled manager)",
-    )
-    parser.add_argument(
-        "--workers",
-        choices=["threads", "processes"],
-        default="threads",
         help=(
-            "worker backend for --jobs: 'threads' (GIL-bound, returns live "
-            "results) or 'processes' (true multi-core; workers return "
-            "artifact records)"
-        ),
-    )
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        metavar="K",
-        help=(
-            "shard the pooled BDD manager across K managers routed by "
-            "kernel-fingerprint hash (default 1)"
+            "number of worker processes (default 1: sequential on the "
+            "pooled manager)"
         ),
     )
     parser.add_argument(
@@ -230,8 +210,8 @@ def build_batch_argument_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "compile-store directory consulted by '--workers processes' "
-            "workers before compiling (e.g. a daemon's --store), so "
+            "compile-store directory consulted by '--jobs N' worker "
+            "processes before compiling (e.g. a daemon's --store), so "
             "cross-process batches start warm"
         ),
     )
@@ -302,31 +282,13 @@ def build_serve_argument_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        metavar="K",
-        help=(
-            "shard the pooled BDD manager across K managers routed by "
-            "kernel-fingerprint hash (default 1)"
-        ),
-    )
-    parser.add_argument(
         "--jobs",
         type=_positive_int,
         default=1,
         metavar="N",
-        help="number of concurrent request workers (default 1: serialized)",
-    )
-    parser.add_argument(
-        "--workers",
-        choices=["threads", "processes"],
-        default=None,
         help=(
-            "how cache misses compile when --jobs > 1: 'processes' on a "
-            "worker-process pool (true multi-core; the default whenever "
-            "--jobs > 1) or 'threads' on the sharded pool (GIL-bound; the "
-            "default for --jobs 1, explicit opt-in otherwise)"
+            "number of concurrent request workers (default 1: serialized); "
+            "with N > 1 cache misses compile on N worker processes"
         ),
     )
     parser.add_argument(
@@ -351,18 +313,6 @@ def build_serve_argument_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
-
-
-def resolve_serve_workers(workers: Optional[str], jobs: int) -> str:
-    """The ``serve``/``gateway`` --workers default: processes when parallel.
-
-    Threads are GIL-bound across shards, so a daemon asked for ``--jobs >
-    1`` wants worker processes unless the operator explicitly opts into
-    threads; a single-job daemon keeps the cheaper in-process path.
-    """
-    if workers is not None:
-        return workers
-    return "processes" if jobs > 1 else "threads"
 
 
 def build_gateway_argument_parser() -> argparse.ArgumentParser:
@@ -557,8 +507,7 @@ def build_simulate_argument_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=(
             "simulate a persisted artifact record (JSON, as written by the "
-            "compile store or 'batch --workers processes') instead of "
-            "compiling a source file"
+            "compile store) instead of compiling a source file"
         ),
     )
     parser.add_argument(
@@ -936,10 +885,18 @@ def run_partition(argv: List[str]) -> int:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """Read a source file (``-`` for stdin) as UTF-8 text.
+
+    Undecodable bytes raise :class:`OSError`, like a missing file, so every
+    caller reports both as an unreadable source.
+    """
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:
+        raise OSError(f"not UTF-8 text: {error}") from error
 
 
 def run_batch(argv: List[str]) -> int:
@@ -959,7 +916,6 @@ def run_batch(argv: List[str]) -> int:
     service = CompilationService(
         max_entries=arguments.max_entries,
         max_pool_nodes=arguments.max_pool_nodes,
-        shards=arguments.shards,
         store=arguments.store,
     )
     with service:  # shuts the worker-process pool down on exit
@@ -967,36 +923,24 @@ def run_batch(argv: List[str]) -> int:
             started = time.perf_counter()
             hits_before = service.statistics()["cache_hits"]
             try:
-                results = service.compile_batch(
+                records = service.compile_batch_records(
                     sources,
                     jobs=arguments.jobs,
                     style=style,
-                    workers=arguments.workers,
                     modular=arguments.modular,
                 )
             except SignalError as batch_error:
-                # Identify the culprit.  Process batches annotate the error
-                # with the failing source's index (the parent compiled
-                # nothing, so recompiling to find it would redo the whole
-                # batch); thread batches recompile sequentially instead --
-                # already-compiled sources are cache hits, so that is cheap.
                 culprit = getattr(batch_error, "batch_index", None)
                 if culprit is not None:
                     print(
                         f"error: {arguments.sources[culprit]}: {batch_error}",
                         file=sys.stderr,
                     )
-                    return 1
-                for path, source in zip(arguments.sources, sources):
-                    try:
-                        service.compile(source, style=style)
-                    except SignalError as error:
-                        print(f"error: {path}: {error}", file=sys.stderr)
-                        return 1
-                print(f"error: batch compilation failed: {batch_error}", file=sys.stderr)
+                else:
+                    print(f"error: batch compilation failed: {batch_error}", file=sys.stderr)
                 return 1
             elapsed = time.perf_counter() - started
-            if arguments.workers == "processes":
+            if arguments.jobs > 1:
                 # Worker-process caches are not the service's; hit counts
                 # would be misleading here.
                 summary = f"{arguments.jobs} process worker(s)"
@@ -1011,16 +955,11 @@ def run_batch(argv: List[str]) -> int:
                         f"{stats['links']} link(s)"
                     )
             print(
-                f"round {round_index + 1}: compiled {len(results)} program(s) "
+                f"round {round_index + 1}: compiled {len(records)} program(s) "
                 f"in {elapsed * 1000.0:.1f} ms ({summary})"
             )
-            for path, result in zip(arguments.sources, results):
-                # Thread batches yield live results, process batches yield
-                # artifact records; both carry the same statistics.
-                if isinstance(result, dict):
-                    name, stats = result["name"], result["statistics"]
-                else:
-                    name, stats = result.name, result.statistics()
+            for path, record in zip(arguments.sources, records):
+                name, stats = record["name"], record["statistics"]
                 print(
                     f"  {path}: process {name}, {stats['classes']} classes, "
                     f"{stats['free_clocks']} free clock(s), {stats['unresolved']} unresolved"
@@ -1042,8 +981,7 @@ def run_serve(argv: List[str]) -> int:
         store=arguments.store,
         max_entries=arguments.max_entries,
         max_pool_nodes=arguments.max_pool_nodes,
-        shards=arguments.shards,
-        workers=resolve_serve_workers(arguments.workers, arguments.jobs),
+        workers="processes" if arguments.jobs > 1 else "threads",
         jobs=arguments.jobs,
         request_log=arguments.log_requests,
         store_max_bytes=arguments.store_max_bytes,

@@ -5,8 +5,8 @@
 * :mod:`repro.service.service` -- :class:`CompilationService`, the
   long-lived front end that pools a shared BDD manager across compilations
   (with per-program variable namespaces and node-watermark recycling),
-  memoizes whole compilation results, and fans batches of sources out to
-  worker threads;
+  memoizes whole compilation results, and compiles batches of sources
+  serially or on worker processes;
 * :mod:`repro.service.store` -- :class:`CompileStore`, disk persistence of
   rendered artifact records keyed by kernel fingerprint, so a restarted
   daemon begins warm;
@@ -21,11 +21,11 @@
   and local graceful degradation.
 """
 
-from .cache import CacheStats, LRUCache, shard_for_fingerprint, source_digest
+from .cache import CacheStats, LRUCache, source_digest
 from .client import RemoteCompiler, RemoteError, RemoteResult
-from .daemon import PROTOCOL_VERSION, CompilationDaemon, ThreadedDaemon
+from .daemon import PROTOCOL_VERSION, WORKER_MODES, CompilationDaemon, ThreadedDaemon
 from .federation import BackendState, CompileGateway, HashRing, parse_backend_spec
-from .service import WORKER_MODES, CompilationService
+from .service import CompilationService
 from .store import (
     UNIT_STYLE,
     CompileStore,
@@ -41,7 +41,6 @@ __all__ = [
     "CacheStats",
     "LRUCache",
     "source_digest",
-    "shard_for_fingerprint",
     "CompilationService",
     "WORKER_MODES",
     "CompilationDaemon",

@@ -64,7 +64,6 @@ __all__ = [
     "LINK_FINGERPRINT_VERSION",
     "link_fingerprint",
     "source_digest",
-    "shard_for_fingerprint",
 ]
 
 T = TypeVar("T")
@@ -119,25 +118,6 @@ def link_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def shard_for_fingerprint(fingerprint: str, shards: int) -> int:
-    """The pool shard a kernel fingerprint routes to (``0 <= index < shards``).
-
-    The map is a pure function of the fingerprint text and the shard count:
-    the same program always lands on the same shard of a given service (so
-    recompilations find their warm scope and value encodings again), across
-    service instances and across OS processes (unlike the salted built-in
-    ``hash``).  Fingerprints are SHA-256 hex digests already, but the router
-    re-hashes so that any opaque string routes uniformly -- a prefix of a
-    structured key would not.
-    """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if shards == 1:
-        return 0
-    digest = hashlib.sha256(fingerprint.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % shards
-
-
 @dataclass
 class CacheStats:
     """Counters exposed by :meth:`repro.service.CompilationService.statistics`."""
@@ -157,8 +137,9 @@ class CacheStats:
 class LRUCache(Generic[T]):
     """A bounded mapping with least-recently-used eviction.
 
-    All operations take the internal lock, so the cache can back the
-    concurrent ``compile_batch`` path without extra synchronization.
+    All operations take the internal lock, so the service and the daemon
+    can share one cache across request threads without extra
+    synchronization.
     """
 
     def __init__(

@@ -37,15 +37,17 @@ Concurrency
 The server processes requests on a pool of ``jobs`` worker threads (one by
 default) while the event loop stays free to accept connections and read
 requests, so concurrent clients queue fairly instead of timing out on
-connect.  With ``jobs > 1`` the daemon answers cache tiers concurrently and
-compiles misses in parallel:
+connect.  With ``jobs > 1`` the daemon answers cache tiers concurrently; how
+a miss compiles depends on ``workers``:
 
-* ``workers="threads"`` compiles on the wrapped service's sharded pool --
-  programs on different shards compile concurrently (each shard's lock
-  serializes its own programs), bounded by the GIL;
+* ``workers="threads"`` compiles in-process on the wrapped service's pooled
+  manager, whose compile lock serializes misses (compilation holds the GIL,
+  so concurrent in-process compiles would gain nothing).  The gateway's
+  local fallback uses this mode;
 * ``workers="processes"`` ships each miss to the service's worker-process
   pool and parks the request thread on the result, so ``jobs`` compilations
-  proceed on ``jobs`` cores.
+  proceed on ``jobs`` cores.  ``python -m repro serve --jobs N`` with
+  ``N > 1`` uses this mode.
 
 Operability
 -----------
@@ -92,7 +94,7 @@ from ..lang.kernel import normalize
 from ..lang.parser import parse_process
 from ..runtime import ReactiveExecutor, random_oracle, timing_diagram
 from .cache import LRUCache, source_digest
-from .service import WORKER_MODES, CompilationService
+from .service import CompilationService
 from .store import (
     CompileStore,
     executable_from_record,
@@ -104,10 +106,14 @@ from .store import (
     types_from_record,
 )
 
-__all__ = ["PROTOCOL_VERSION", "CompilationDaemon", "ThreadedDaemon"]
+__all__ = ["PROTOCOL_VERSION", "WORKER_MODES", "CompilationDaemon", "ThreadedDaemon"]
 
 #: bumped when the request/response schema changes incompatibly
 PROTOCOL_VERSION = 1
+
+#: accepted values of the daemon's ``workers=`` argument: compile misses
+#: in-process on the request threads, or on the worker-process pool
+WORKER_MODES = ("threads", "processes")
 
 #: maximum length of one request line (sources are inlined in requests)
 MAX_LINE_BYTES = 16 * 1024 * 1024
@@ -174,7 +180,6 @@ class CompilationDaemon:
         store: Optional[Union[CompileStore, str, os.PathLike]] = None,
         max_entries: int = 128,
         max_pool_nodes: Optional[int] = None,
-        shards: int = 1,
         workers: str = "threads",
         jobs: int = 1,
         request_log: Optional[Union[str, os.PathLike, IO[str]]] = None,
@@ -192,8 +197,7 @@ class CompilationDaemon:
         # workers warm-start from disk too (an injected service keeps
         # whatever store its owner configured).
         self.service = service if service is not None else CompilationService(
-            max_entries=max_entries, max_pool_nodes=max_pool_nodes, shards=shards,
-            store=store,
+            max_entries=max_entries, max_pool_nodes=max_pool_nodes, store=store,
         )
         self._workers = workers
         self._jobs = jobs
@@ -245,9 +249,10 @@ class CompilationDaemon:
         monolithic record answers a modular request for the same program
         and vice versa, because both paths render equivalent artifacts.
 
-        Thread-safe without a global compile lock: the record/digest LRUs
-        and the store synchronize themselves, so ``jobs`` request threads
-        probe the tiers and compile misses concurrently.  Two threads
+        Thread-safe without a daemon-wide lock: the record/digest LRUs and
+        the store synchronize themselves, so ``jobs`` request threads probe
+        the tiers concurrently; misses compile on worker processes or
+        serialize on the service's compile lock.  Two threads
         racing on the *same* key may both compile and both publish --
         wasteful but harmless, because compilation is deterministic and
         every tier is last-writer-wins.

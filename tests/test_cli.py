@@ -78,7 +78,7 @@ class TestBatch:
         assert "(1 cache hit(s))" in output
 
     def test_batch_cache_stats_json(self, counter_file, alarm_file, capsys):
-        assert main(["batch", counter_file, alarm_file, "--jobs", "2", "--cache-stats"]) == 0
+        assert main(["batch", counter_file, alarm_file, "--cache-stats"]) == 0
         output = capsys.readouterr().out
         stats = json.loads(output[output.index("{"):])
         assert stats["requests"] == 2
@@ -93,6 +93,13 @@ class TestBatch:
     def test_batch_missing_file_reports_error(self, counter_file, capsys):
         assert main(["batch", counter_file, "/nonexistent/program.sig"]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("prefix", [[], ["batch"]], ids=["single", "batch"])
+    def test_non_utf8_source_reports_error(self, tmp_path, capsys, prefix):
+        path = tmp_path / "latin1.sig"
+        path.write_bytes(b"process P = ( ? integer A; ! integer X; ) (| X := A |) end; \xff")
+        assert main(prefix + [str(path)]) == 2
+        assert f"error: cannot read {path}: " in capsys.readouterr().err
 
     def test_batch_compile_error_reports_and_fails(self, tmp_path, capsys):
         path = tmp_path / "broken.sig"
@@ -109,14 +116,11 @@ class TestBatch:
         path.write_text(
             "process P = ( ? integer A; ! integer X, Y; ) (| X := Y + A | Y := X + A |) end;"
         )
-        assert main(["batch", counter_file, str(path), "--jobs", "2"]) == 1
+        assert main(["batch", counter_file, str(path), counter_file]) == 1
         assert "broken.sig" in capsys.readouterr().err
 
     def test_batch_process_workers(self, counter_file, alarm_file, capsys):
-        assert main([
-            "batch", counter_file, alarm_file,
-            "--jobs", "2", "--workers", "processes",
-        ]) == 0
+        assert main(["batch", counter_file, alarm_file, "--jobs", "2"]) == 0
         output = capsys.readouterr().out
         assert "compiled 2 program(s)" in output
         assert "process worker(s)" in output
@@ -130,30 +134,8 @@ class TestBatch:
         path.write_text(
             "process P = ( ? integer A; ! integer X, Y; ) (| X := Y + A | Y := X + A |) end;"
         )
-        assert main([
-            "batch", counter_file, str(path), "--jobs", "2", "--workers", "processes",
-        ]) == 1
+        assert main(["batch", counter_file, str(path), "--jobs", "2"]) == 1
         assert "broken.sig" in capsys.readouterr().err
-
-    def test_batch_sharded_pool(self, counter_file, alarm_file, capsys):
-        assert main([
-            "batch", counter_file, alarm_file, "--shards", "4", "--cache-stats",
-        ]) == 0
-        output = capsys.readouterr().out
-        stats = json.loads(output[output.index("{"):])
-        assert stats["shards"] == 4
-        assert len(stats["shard_stats"]) == 4
-        # Both programs really compiled somewhere in the sharded pool.
-        assert stats["pooled_bdd_nodes"] == sum(
-            shard["bdd_nodes"] for shard in stats["shard_stats"]
-        )
-        assert stats["pooled_bdd_nodes"] > 0
-
-    def test_batch_rejects_unknown_worker_backend(self, counter_file, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["batch", counter_file, "--workers", "fibers"])
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestServeArguments:
@@ -161,13 +143,11 @@ class TestServeArguments:
         from repro.cli import build_serve_argument_parser
 
         arguments = build_serve_argument_parser().parse_args([
-            "--shards", "4", "--jobs", "2", "--workers", "processes",
+            "--jobs", "2",
             "--log-requests", "requests.log",
             "--store", "cache-dir", "--store-max-bytes", "1000000",
         ])
-        assert arguments.shards == 4
         assert arguments.jobs == 2
-        assert arguments.workers == "processes"
         assert arguments.log_requests == "requests.log"
         assert arguments.store_max_bytes == 1000000
 
@@ -184,16 +164,23 @@ class TestServeArguments:
         assert run_serve(["--store-max-bytes", "1000"]) == 2
         assert "--store" in capsys.readouterr().err
 
-    def test_workers_defaults_to_processes_only_when_parallel(self):
-        from repro.cli import build_serve_argument_parser, resolve_serve_workers
+    def test_workers_defaults_to_processes_only_when_parallel(self, monkeypatch):
+        """``serve --jobs N`` compiles on worker processes exactly when N > 1."""
+        from repro import cli
 
-        # The parser leaves --workers unset; the runner resolves it by jobs.
-        assert build_serve_argument_parser().parse_args([]).workers is None
-        assert resolve_serve_workers(None, 1) == "threads"
-        assert resolve_serve_workers(None, 4) == "processes"
-        # Explicit choices always win (threads stays an opt-in).
-        assert resolve_serve_workers("threads", 4) == "threads"
-        assert resolve_serve_workers("processes", 1) == "processes"
+        created = []
+
+        class FakeDaemon:
+            def __init__(self, **options):
+                created.append(options["workers"])
+
+            def run(self, **options):
+                pass
+
+        monkeypatch.setattr(cli, "CompilationDaemon", FakeDaemon)
+        assert cli.run_serve([]) == 0
+        assert cli.run_serve(["--jobs", "4"]) == 0
+        assert created == ["threads", "processes"]
 
 
 class TestGatewayArguments:

@@ -268,8 +268,9 @@ def test_incremental_link_is_byte_identical_to_ir_emission():
 
 
 def test_batch_fan_out_matches_serial_modular():
-    """``compile_batch(modular=True, jobs>1)`` resolves units concurrently
-    but must compose exactly what serial modular compiles produce."""
+    """``compile_batch_records(modular=True, jobs>1)`` resolves units on
+    worker processes but must compose exactly what serial modular compiles
+    produce."""
     from repro.service import record_from_result
     from repro.codegen.ir import GenerationStyle
 
@@ -288,14 +289,14 @@ def test_batch_fan_out_matches_serial_modular():
             for source in sources
         ]
     with CompilationService() as batch_service:
-        batched = batch_service.compile_batch(
+        batched = batch_service.compile_batch_records(
             sources, jobs=3, build_flat=True, modular=True
         )
         stats = batch_service.statistics()
 
     # ``bdd_nodes_total`` is the pool-wide table size at unit-compile
-    # time, so it depends on the order units land on the pool -- the one
-    # statistic the concurrent fan-out legitimately may not reproduce.
+    # time, so it depends on which units a worker's pool already holds --
+    # the one statistic the fan-out legitimately may not reproduce.
     def order_free(record):
         record = dict(record)
         record["statistics"] = {
@@ -305,18 +306,14 @@ def test_batch_fan_out_matches_serial_modular():
         }
         return record
 
-    assert [
-        order_free(
-            record_from_result(
-                linked, GenerationStyle.HIERARCHICAL, build_flat=True
-            )
-        )
-        for linked in batched
-    ] == [order_free(record) for record in expected]
-    # The fan-out resolved each distinct unit exactly once.
+    assert [order_free(record) for record in batched] == [
+        order_free(record) for record in expected
+    ]
+    # The workers resolved every distinct unit; the parent compiled none.
     members = fleet_member_modules(spec)
     distinct = len({module for modules in members for module in modules})
-    assert stats["unit_misses"] == distinct
+    assert stats["unit_cache_entries"] == distinct
+    assert stats["unit_misses"] == 0
 
 
 def test_modular_record_is_whole_program_keyed():
@@ -374,7 +371,7 @@ _GOOD_THEN_BROKEN = (
 def _unit_scope_namespaces(service):
     return sorted(
         namespace
-        for (_, namespace) in service._scopes
+        for namespace in service._scopes
         if namespace.startswith("unit:")
     )
 

@@ -147,6 +147,16 @@ class TestCompileCache:
         assert service.statistics()["scopes"] == 0
         assert service.statistics()["cache_entries"] == 0
 
+    def test_lru_eviction_keeps_one_scope_per_cached_program(self):
+        """Evicting a program's last entry releases its scope, so the
+        registry never outgrows the LRU."""
+        service = CompilationService(max_entries=2)
+        for source in (COUNTER_SOURCE, WATCHDOG_SOURCE, ACCUMULATOR_SOURCE, ALARM_SOURCE):
+            service.compile(source)
+            stats = service.statistics()
+            assert stats["scopes"] == stats["cache_entries"]
+        assert stats["cache_entries"] == 2
+
     def test_clear_cache(self):
         service = CompilationService()
         first = service.compile(COUNTER_SOURCE)
@@ -183,6 +193,7 @@ class TestPooledManager:
         first = service.compile(COUNTER_SOURCE)
         nodes_after_first = manager.num_nodes
         service.compile(WATCHDOG_SOURCE)
+        assert service.manager is manager
         assert first.hierarchy.manager.base is manager
         assert manager.num_nodes > nodes_after_first  # both live in one table
 
@@ -244,46 +255,28 @@ class TestBatch:
 
     def test_batch_results_in_input_order(self):
         service = CompilationService()
-        results = service.compile_batch(self.SOURCES, jobs=1)
+        results = service.compile_batch(self.SOURCES)
         assert [r.name for r in results] == ["COUNT", "WATCHDOG", "ACCUMULATOR", "ALARM"]
 
     def test_concurrent_batch_matches_sequential(self):
-        sequential = CompilationService()
-        expected = sequential.compile_batch(self.SOURCES, jobs=1)
-        concurrent = CompilationService()
-        actual = concurrent.compile_batch(self.SOURCES, jobs=3)
-        for left, right in zip(expected, actual):
-            assert left.name == right.name
-            assert left.python_source() == right.python_source()
-            assert run_trace(left) == run_trace(right)
-        stats = concurrent.statistics()
-        assert stats["worker_managers"] >= 1
-        assert stats["worker_bdd_nodes"] > 0
+        """Process-parallel records equal the records of a serial batch."""
+        expected = CompilationService().compile_batch_records(self.SOURCES)
+        with CompilationService() as concurrent:
+            actual = concurrent.compile_batch_records(self.SOURCES, jobs=3)
+            stats = concurrent.statistics()
+        assert [r["artifacts"] for r in actual] == [r["artifacts"] for r in expected]
+        assert stats["process_records"] == len(self.SOURCES)
+        assert stats["cache_entries"] == 0  # workers keep their own caches
 
     def test_second_batch_is_fully_cached(self):
         service = CompilationService()
-        first = service.compile_batch(self.SOURCES, jobs=2)
+        first = service.compile_batch(self.SOURCES)
         hits_before = service.statistics()["cache_hits"]
-        second = service.compile_batch(self.SOURCES, jobs=2)
+        second = service.compile_batch(self.SOURCES)
         assert service.statistics()["cache_hits"] - hits_before == len(self.SOURCES)
         for left, right in zip(first, second):
             assert left.schedule is right.schedule
             assert left.executable is not right.executable
-
-    def test_fully_warm_batch_allocates_no_worker_managers(self):
-        service = CompilationService()
-        for source in self.SOURCES:  # warm the cache on the pooled manager
-            service.compile(source)
-        service.compile_batch(self.SOURCES, jobs=3)  # all hits
-        assert service.statistics()["worker_managers"] == 0
-
-    def test_worker_managers_are_reused_across_batches(self):
-        """The worker pool is bounded by concurrency, not by batch count."""
-        service = CompilationService()
-        for _ in range(4):
-            service.compile_batch(self.SOURCES, jobs=2)
-            service.clear_cache()  # force real recompilations every round
-        assert service.statistics()["worker_managers"] <= 2
 
 
 class TestCompilerWiring:
@@ -309,7 +302,7 @@ class TestCompilerWiring:
 
 
 class TestBatchFailurePath:
-    """Jobs that raise must release their scopes, mirroring single compiles."""
+    """A failing batch must release its scopes, mirroring single compiles."""
 
     BROKEN = [
         (
@@ -319,25 +312,16 @@ class TestBatchFailurePath:
         for index in range(6)
     ]
 
-    def test_failing_batch_jobs_release_worker_scopes(self):
-        from repro.errors import SignalError
-
-        service = CompilationService(max_entries=4)
-        with pytest.raises(SignalError):
-            service.compile_batch(self.BROKEN, jobs=3)
-        stats = service.statistics()
-        assert stats["scopes"] == 0
-        assert stats["cache_entries"] == 0
-
     def test_mixed_batch_keeps_only_successful_scopes(self):
         from repro.errors import SignalError
 
         service = CompilationService()
-        sources = [COUNTER_SOURCE, self.BROKEN[0], WATCHDOG_SOURCE, self.BROKEN[1]]
-        with pytest.raises(SignalError):
-            service.compile_batch(sources, jobs=4)
-        # Every cached (successful) entry still owns at least one scope;
-        # no scope belongs to a program that failed.
+        sources = [COUNTER_SOURCE, WATCHDOG_SOURCE, self.BROKEN[0], ALARM_SOURCE]
+        with pytest.raises(SignalError) as excinfo:
+            service.compile_batch(sources)
+        assert excinfo.value.batch_index == 2
+        # The batch stops at the failing source; every cached (successful)
+        # entry owns exactly one scope and no scope belongs to the failure.
         stats = service.statistics()
         assert stats["cache_entries"] == stats["scopes"] == 2
 
@@ -346,19 +330,20 @@ class TestBatchFailurePath:
 
         service = CompilationService()
         with pytest.raises(SignalError):
-            service.compile_batch(self.BROKEN, jobs=2)
+            service.compile_batch(self.BROKEN)
         result = service.compile(COUNTER_SOURCE)
         assert run_trace(result) == run_trace(compile_source(COUNTER_SOURCE))
 
     def test_worker_cancellation_releases_scopes(self):
-        """BaseException (not just Exception) must release the scope."""
+        """BaseException (not just Exception) raised mid-compile through
+        plain ``compile`` must release the scope."""
 
         class Cancelled(BaseException):
             pass
 
         service = CompilationService()
 
-        # Simulate a worker killed mid-compilation: the pipeline raises a
+        # Simulate a compile interrupted mid-pipeline: it raises a
         # BaseException after the scope was registered.
         original = service._compile_program
 
@@ -377,7 +362,7 @@ class TestProcessBatch:
 
     def test_process_batch_returns_records_in_order(self):
         with CompilationService() as service:
-            records = service.compile_batch(self.SOURCES, jobs=2, workers="processes")
+            records = service.compile_batch_records(self.SOURCES, jobs=2)
         assert [r["name"] for r in records] == ["COUNT", "WATCHDOG", "ACCUMULATOR"]
         for source, record in zip(self.SOURCES, records):
             assert record["artifacts"]["python"] == compile_source(source).python_source()
@@ -391,28 +376,20 @@ class TestProcessBatch:
         )
         with CompilationService() as service:
             with pytest.raises(SignalError) as excinfo:
-                service.compile_batch(
-                    [COUNTER_SOURCE, broken, WATCHDOG_SOURCE],
-                    jobs=2,
-                    workers="processes",
+                service.compile_batch_records(
+                    [COUNTER_SOURCE, broken, WATCHDOG_SOURCE], jobs=2
                 )
         assert excinfo.value.batch_index == 1
 
     def test_process_pool_grows_between_batches_and_survives_close(self):
         with CompilationService() as service:
-            service.compile_batch(self.SOURCES[:1], jobs=1, workers="processes")
+            service.compile_record_in_process(self.SOURCES[0], jobs=1)
             assert service._process_jobs == 1
-            service.compile_batch(self.SOURCES, jobs=2, workers="processes")
+            service.compile_batch_records(self.SOURCES, jobs=2)
             assert service._process_jobs == 2
             service.close()  # recoverable: the next call rebuilds the pool
-            records = service.compile_batch(
-                self.SOURCES[:1], jobs=1, workers="processes"
-            )
+            records = service.compile_batch_records(self.SOURCES[:1], jobs=2)
             assert records[0]["name"] == "COUNT"
-
-    def test_compile_batch_rejects_unknown_worker_mode(self):
-        with pytest.raises(ValueError, match="workers"):
-            CompilationService().compile_batch(self.SOURCES, workers="fibers")
 
     def test_compile_record_matches_in_process_record(self):
         """The inline and worker-process record paths produce equal JSON."""
@@ -436,8 +413,8 @@ class TestProcessWorkerStore:
         store.put(key_from_record(record), {**record, "warm_marker": "from-disk"})
 
         with CompilationService(store=store) as service:
-            records = service.compile_batch(
-                [COUNTER_SOURCE, WATCHDOG_SOURCE], jobs=2, workers="processes"
+            records = service.compile_batch_records(
+                [COUNTER_SOURCE, WATCHDOG_SOURCE], jobs=2
             )
         assert records[0]["warm_marker"] == "from-disk"  # store hit, no compile
         assert "warm_marker" not in records[1]  # honest cold compile
@@ -447,9 +424,7 @@ class TestProcessWorkerStore:
 
         store = CompileStore(tmp_path / "store")
         with CompilationService(store=store) as service:
-            service.compile_batch(
-                [COUNTER_SOURCE, WATCHDOG_SOURCE], jobs=2, workers="processes"
-            )
+            service.compile_batch_records([COUNTER_SOURCE, WATCHDOG_SOURCE], jobs=2)
         assert len(store) == 2  # both compiles spilled for the next batch
 
     def test_store_accepts_a_path_and_single_submits_use_it(self, tmp_path):
@@ -517,16 +492,41 @@ class TestPoolHygiene:
         hit = service.compile(COUNTER_SOURCE)
         assert run_trace(hit) == run_trace(compile_source(COUNTER_SOURCE))
 
-    def test_worker_managers_retired_at_watermark(self):
-        service = CompilationService(max_pool_nodes=30)
-        service.compile_batch(self.SOURCES, jobs=2)
-        stats = service.statistics()
-        assert stats["worker_recycles"] >= 1
-        assert stats["worker_managers"] <= 2
-        # Retired workers must not leave scope bookkeeping behind for
-        # programs that are no longer cached once the LRU evicts them.
-        service.clear_cache()
-        assert service.statistics()["scopes"] == 0
+    def test_concurrent_compiles_and_recycles_keep_the_pool_consistent(self):
+        """Eight request threads (the gateway's local fallback) share one
+        service whose small LRU evicts and whose watermark recycles while
+        they compile: every result stays correct, and at rest every
+        registered scope belongs to a cached program."""
+        import sys
+        import threading
+
+        references = {s: compile_source(s).python_source() for s in self.SOURCES}
+        service = CompilationService(max_entries=2, max_pool_nodes=20)
+        errors = []
+
+        def hammer(offset):
+            try:
+                for step in range(6):
+                    source = self.SOURCES[(offset + step) % len(self.SOURCES)]
+                    assert service.compile(source).python_source() == references[source]
+            except BaseException as error:  # reported by the main thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=hammer, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        cached = {key[0] for key in service._results.keys()}
+        assert set(service._scopes) <= cached
+        assert service.statistics()["pool_recycles"] >= 1
 
     def test_no_recycling_without_watermark(self):
         service = CompilationService()

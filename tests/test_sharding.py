@@ -1,15 +1,14 @@
-"""Properties of the sharded BDD pool: routing, scope lifetime, recycling.
+"""Pool-lifetime properties of the pooled BDD manager: placement, scope
+lifetime, recycling.
 
-The shard map must be a *pure, stable* function of the kernel fingerprint
-(or recompilations would lose their warm scopes), scopes must be released
-on every exit path of every shard exactly like the single-pool design, and
-the per-shard recycle counters must sum to the headline ``pool_recycles``
-statistic so dashboards built on the old counter keep meaning the same
-thing.
+A service owns exactly one pooled manager, the single shard every program
+lands on. Results must live on it, recompilations must reuse its warm
+variables, scopes must be released on every exit path (success, failure,
+``BaseException``, eviction) and recycling must never change generated
+code or traces.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import CompilationService, compile_source
 from repro.bdd import BDDManager
@@ -21,7 +20,6 @@ from repro.programs import (
     WATCHDOG_SOURCE,
 )
 from repro.runtime import ReactiveExecutor, random_oracle
-from repro.service import shard_for_fingerprint
 
 SOURCES = [COUNTER_SOURCE, WATCHDOG_SOURCE, ACCUMULATOR_SOURCE, ALARM_SOURCE]
 
@@ -41,71 +39,17 @@ def run_trace(result, steps=20, seed=7):
     return [(step.inputs, step.outputs, step.observations) for step in trace]
 
 
-class TestRoutingFunction:
-    @given(fingerprint=st.text(min_size=0, max_size=80), shards=st.integers(1, 64))
-    @settings(max_examples=200, deadline=None)
-    def test_route_is_deterministic_and_in_range(self, fingerprint, shards):
-        """Same fingerprint, same shard count -> same shard, always in range."""
-        index = shard_for_fingerprint(fingerprint, shards)
-        assert 0 <= index < shards
-        assert shard_for_fingerprint(fingerprint, shards) == index
-
-    @given(fingerprint=st.text(min_size=1, max_size=80))
-    @settings(max_examples=100, deadline=None)
-    def test_single_shard_always_routes_to_zero(self, fingerprint):
-        assert shard_for_fingerprint(fingerprint, 1) == 0
-
-    def test_route_rejects_non_positive_shard_counts(self):
-        with pytest.raises(ValueError):
-            shard_for_fingerprint("abc", 0)
-        with pytest.raises(ValueError):
-            shard_for_fingerprint("abc", -3)
-
-    @given(shards=st.integers(2, 16))
-    @settings(max_examples=20, deadline=None)
-    def test_routing_spreads_distinct_fingerprints(self, shards):
-        """Many distinct fingerprints must not collapse onto one shard."""
-        used = {
-            shard_for_fingerprint(f"fingerprint-{index}", shards)
-            for index in range(64 * shards)
-        }
-        assert len(used) == shards
-
-    def test_service_routing_agrees_with_the_pure_function(self):
-        service = CompilationService(shards=5)
-        for index in range(32):
-            fingerprint = f"program-{index}"
-            assert service.shard_index(fingerprint) == shard_for_fingerprint(
-                fingerprint, 5
-            )
-
-    def test_routing_is_stable_across_service_instances(self):
-        """Two services with equal shard counts route identically (the map
-        is hash-of-fingerprint, never id()- or salt-dependent), so a daemon
-        restart re-warms the same shards."""
-        first = CompilationService(shards=8)
-        second = CompilationService(shards=8)
-        for index in range(32):
-            fingerprint = f"program-{index}"
-            assert first.shard_index(fingerprint) == second.shard_index(fingerprint)
-
-
 class TestShardedCompilation:
     def test_results_land_on_the_routed_shard(self):
-        service = CompilationService(shards=4)
+        service = CompilationService()
         for source in SOURCES:
             result = service.compile(source)
-            fingerprint = result.program.fingerprint()
-            assert (
-                result.hierarchy.manager.base
-                is service.shard_manager(fingerprint)
-            )
+            assert result.hierarchy.manager.base is service.manager
 
     def test_recompilation_reuses_the_shard_and_its_variables(self):
-        service = CompilationService(shards=4)
+        service = CompilationService()
         first = service.compile(COUNTER_SOURCE)
-        fingerprint = first.program.fingerprint()
-        manager = service.shard_manager(fingerprint)
+        manager = first.hierarchy.manager.base
         vars_after_first = manager.num_vars
         service.clear_cache()  # force a real recompilation on the same pool
         again = service.compile(COUNTER_SOURCE)
@@ -113,54 +57,47 @@ class TestShardedCompilation:
         assert manager.num_vars == vars_after_first
 
     def test_sharded_results_match_unpooled_compiles(self):
-        service = CompilationService(shards=3)
+        service = CompilationService()
         for source in SOURCES:
-            sharded = service.compile(source)
+            pooled = service.compile(source)
             reference = compile_source(source)
-            assert sharded.python_source() == reference.python_source()
-            assert run_trace(sharded) == run_trace(reference)
-
-    def test_constructor_validates_shards(self):
-        with pytest.raises(ValueError):
-            CompilationService(shards=0)
-        with pytest.raises(ValueError, match="shards"):
-            CompilationService(manager=BDDManager(), shards=2)
+            assert pooled.python_source() == reference.python_source()
+            assert run_trace(pooled) == run_trace(reference)
 
     def test_single_shard_keeps_the_injected_manager(self):
         manager = BDDManager()
         service = CompilationService(manager=manager)
         assert service.manager is manager
-        assert service.shards == 1
+        for source in SOURCES:
+            assert service.compile(source).hierarchy.manager.base is manager
+        assert service.manager is manager
 
 
 class TestShardScopeLifetime:
-    """Scopes release on success, failure and BaseException, per shard."""
+    """Scopes release on success, failure, BaseException and eviction."""
 
     def test_success_scopes_live_on_their_shards_only(self):
-        service = CompilationService(shards=4)
+        service = CompilationService()
         for source in SOURCES:
             service.compile(source)
         stats = service.statistics()
-        assert stats["scopes"] == len(SOURCES)
-        # Every scope is attributed to exactly one shard, and the per-shard
-        # counts reconstruct the total.
-        assert sum(s["scopes"] for s in stats["shard_stats"]) == stats["scopes"]
+        assert stats["scopes"] == stats["cache_entries"] == len(SOURCES)
 
     def test_failed_compilations_release_their_shard_scopes(self):
-        service = CompilationService(shards=4)
+        service = CompilationService()
         for broken in BROKEN:
             with pytest.raises(SignalError):
                 service.compile(broken)
         stats = service.statistics()
         assert stats["scopes"] == 0
-        assert all(s["scopes"] == 0 for s in stats["shard_stats"])
         assert stats["cache_entries"] == 0
 
     def test_base_exception_releases_the_shard_scope(self):
         class Cancelled(BaseException):
             pass
 
-        service = CompilationService(shards=4)
+        service = CompilationService()
+        service.compile(WATCHDOG_SOURCE)
         original = service._compile_program
 
         def dying(*args, **kwargs):
@@ -170,82 +107,36 @@ class TestShardScopeLifetime:
         service._compile_program = dying
         with pytest.raises(Cancelled):
             service.compile(COUNTER_SOURCE)
+        # Only the interrupted program's scope goes; the cached one stays.
         stats = service.statistics()
-        assert stats["scopes"] == 0
-        assert all(s["scopes"] == 0 for s in stats["shard_stats"])
+        assert stats["scopes"] == stats["cache_entries"] == 1
 
     def test_eviction_releases_scopes_on_a_sharded_pool(self):
-        service = CompilationService(max_entries=2, shards=4)
+        service = CompilationService(max_entries=2)
         for source in SOURCES:
             service.compile(source)
         stats = service.statistics()
         assert stats["cache_entries"] == 2
         assert stats["scopes"] == 2
-        assert sum(s["scopes"] for s in stats["shard_stats"]) == 2
 
     def test_mixed_sharded_batch_keeps_only_successful_scopes(self):
-        service = CompilationService(shards=4)
+        service = CompilationService()
         sources = [COUNTER_SOURCE, BROKEN[0], WATCHDOG_SOURCE, BROKEN[1]]
-        with pytest.raises(SignalError):
-            service.compile_batch(sources, jobs=4)
+        with pytest.raises(SignalError) as excinfo:
+            service.compile_batch(sources)
+        assert excinfo.value.batch_index == 1
         stats = service.statistics()
-        assert stats["cache_entries"] == stats["scopes"] == 2
+        assert stats["cache_entries"] == stats["scopes"] == 1
 
 
 class TestShardRecycling:
-    def test_per_shard_recycle_counters_sum_to_pool_recycles(self):
-        """The headline counter is exactly the sum of the shard counters.
-
-        Watermark 1 forces a recycle on every miss, so with four distinct
-        programs the total must be 4 however they spread over the shards.
-        """
-        service = CompilationService(max_pool_nodes=1, shards=3)
-        for source in SOURCES:
-            service.compile(source)
-        stats = service.statistics()
-        assert stats["pool_recycles"] == len(SOURCES)
-        assert stats["pool_recycles"] == sum(
-            s["recycles"] for s in stats["shard_stats"]
-        )
-
-    def test_hot_shard_recycling_spares_other_shards(self):
-        """One program blowing the watermark must not recycle every shard.
-
-        The recycle replaces only the hot program's shard manager; programs
-        routed to other shards keep their manager object (and hence their
-        warm scopes and interned variables) across the event.
-        """
-        service = CompilationService(shards=4)
-        results = {}
-        for source in SOURCES:
-            result = service.compile(source)
-            results[result.program.fingerprint()] = result
-        # Pick a victim, then arm the watermark so only a fresh compile on
-        # the victim's shard trips it.
-        victim_fp = next(iter(results))
-        victim_shard = service.shard_index(victim_fp)
-        managers_before = {
-            fp: service.shard_manager(fp) for fp in results
-        }
-        service.clear_cache()  # force the next compiles to really run
-        service.max_pool_nodes = 1
-        victim_source = SOURCES[list(results).index(victim_fp)]
-        service.compile(victim_source)
-        stats = service.statistics()
-        assert stats["shard_stats"][victim_shard]["recycles"] >= 1
-        for fp, manager in managers_before.items():
-            if service.shard_index(fp) != victim_shard:
-                assert service.shard_manager(fp) is manager, (
-                    "recycling a hot shard replaced a cold shard's manager"
-                )
-
     def test_recycling_on_a_sharded_pool_preserves_correctness(self):
-        service = CompilationService(max_pool_nodes=30, shards=2)
+        service = CompilationService(max_pool_nodes=30)
         for _ in range(2):  # second round: recompiles after recycling
             for source in SOURCES:
-                sharded = service.compile(source)
+                pooled = service.compile(source)
                 reference = compile_source(source)
-                assert sharded.python_source() == reference.python_source()
-                assert run_trace(sharded) == run_trace(reference)
+                assert pooled.python_source() == reference.python_source()
+                assert run_trace(pooled) == run_trace(reference)
             service.clear_cache()
         assert service.statistics()["pool_recycles"] >= 2
