@@ -12,12 +12,13 @@ The generated code is a plain Python class with
   reaction (used by the test harness to compare against the reference
   interpreter).
 
-``compile_step`` executes the generated source and returns a
-:class:`CompiledProcess` handle.
+``compile_step`` wraps the generated source in a :class:`CompiledProcess`
+handle, which compiles and executes it on first use.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -56,6 +57,7 @@ __all__ = [
     "render_python_module",
     "emit_statement_lines",
     "compile_step",
+    "load_step_class",
     "CompiledProcess",
 ]
 
@@ -290,7 +292,15 @@ def generate_python_source(ir: StepIR, observable: bool = True) -> str:
 
 @dataclass
 class CompiledProcess:
-    """An executable compiled SIGNAL process."""
+    """An executable compiled SIGNAL process.
+
+    The generated source is compiled and executed lazily, by
+    :func:`load_step_class`, the first time the step is needed: the first
+    ``step``, ``reset``, ``fresh`` or read of ``step_instance``.  Producing
+    a record or serving a source from a compiled process therefore never
+    pays for loading it, and ``fresh()`` copies share the loaded class, so
+    one compiled source is executed at most once.
+    """
 
     name: str
     style: GenerationStyle
@@ -299,7 +309,6 @@ class CompiledProcess:
     #: rehydrated from a stored artifact record, where only the generated
     #: source survives serialization
     ir: Optional[StepIR]
-    step_instance: object
     inputs: List[str]
     outputs: List[str]
     #: (input key, default) for every free clock of the program
@@ -307,6 +316,21 @@ class CompiledProcess:
     types: Dict[str, SignalType] = field(default_factory=dict)
     #: whether the generated step supports the ``observe=`` parameter
     observable: bool = True
+    _instance: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def step_instance(self) -> object:
+        """The step object holding this process's delay registers."""
+        instance = self._instance
+        if instance is None:
+            with _LOAD_LOCK:
+                if self._instance is None:
+                    step_class = load_step_class(self.source, self.name)
+                    self._instance = _prepare_step_instance(step_class(), self.observable)
+                instance = self._instance
+        return instance
 
     def step(
         self,
@@ -315,8 +339,10 @@ class CompiledProcess:
         observe: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
         """Run one reaction and return the present outputs."""
-        arguments = dict(inputs or {})
-        return self.step_instance.step(arguments, oracle, observe)
+        instance = self._instance
+        if instance is None:
+            instance = self.step_instance
+        return instance.step(dict(inputs or {}), oracle, observe)
 
     def run(
         self,
@@ -333,14 +359,17 @@ class CompiledProcess:
         """A new executable instance of the same compiled code.
 
         The returned process shares the immutable artifacts (source, IR,
-        types) but has its own step instance with freshly initialized delay
-        registers, so its state is fully isolated from this one.  The
-        already-built step class is re-instantiated directly (the
-        ``observable=False`` wrapper lives on instances, never the class, so
-        the class is always pristine) -- no re-exec of the source.
+        types) and the loaded step class, but has its own step instance
+        with freshly initialized delay registers, so its state is fully
+        isolated from this one.  The class is loaded here if it was not
+        yet (the ``observable=False`` wrapper lives on instances, never the
+        class, so the class is always pristine) -- never re-executed.
         """
-        instance = _prepare_step_instance(type(self.step_instance)(), self.observable)
-        return replace(self, step_instance=instance)
+        copy = replace(self)
+        copy._instance = _prepare_step_instance(
+            type(self.step_instance)(), self.observable
+        )
+        return copy
 
     @classmethod
     def from_generated_source(
@@ -358,22 +387,25 @@ class CompiledProcess:
 
         Used by the artifact store (:mod:`repro.service.store`) to rehydrate
         a runnable process from a persisted record without re-running the
-        pipeline: the generated source is re-executed and wrapped exactly
-        like a fresh compilation, but no IR is available (``ir`` is None).
+        pipeline: the generated source is wrapped exactly like a fresh
+        compilation (and loaded on first use like one), but no IR is
+        available (``ir`` is None).
         """
-        instance = _instantiate_step(source, name, observable)
         return cls(
             name=name,
             style=style,
             source=source,
             ir=None,
-            step_instance=instance,
             inputs=list(inputs),
             outputs=list(outputs),
             root_flags=[tuple(flag) for flag in root_flags],
             types=dict(types),
             observable=observable,
         )
+
+
+#: serializes first loads, so racing threads share one step instance
+_LOAD_LOCK = threading.Lock()
 
 
 def _prepare_step_instance(instance: object, observable: bool) -> object:
@@ -388,13 +420,15 @@ def _prepare_step_instance(instance: object, observable: bool) -> object:
     return instance
 
 
-def _instantiate_step(source: str, name: str, observable: bool) -> object:
-    """Execute generated step source and return a ready step instance."""
+def load_step_class(source: str, name: str) -> type:
+    """Compile and execute generated step source; return its step class.
+
+    The only place generated python is executed: :class:`CompiledProcess`
+    calls it once, on first use.
+    """
     namespace: Dict[str, object] = {"SimulationError": SimulationError}
     exec(compile(source, f"<generated {name}>", "exec"), namespace)
-    class_name = f"{name}_step".replace("-", "_")
-    step_class = namespace[class_name]
-    return _prepare_step_instance(step_class(), observable)  # type: ignore[operator]
+    return namespace[f"{name}_step".replace("-", "_")]  # type: ignore[return-value]
 
 
 def compile_step(
@@ -405,21 +439,19 @@ def compile_step(
     name: Optional[str] = None,
     ir: Optional[StepIR] = None,
 ) -> CompiledProcess:
-    """Generate, execute and wrap the Python step for a scheduled program.
+    """Generate the Python step for a scheduled program and wrap it.
 
     ``ir`` is the already-built step IR of ``style``, when the caller has
     one (a compilation shares one IR per style among all its emitters).
+    The source is loaded on the returned process's first use, not here.
     """
     if ir is None:
         ir = build_step_ir(schedule, types, style, name)
-    source = generate_python_source(ir, observable=observable)
-    instance = _instantiate_step(source, ir.name, observable)
     return CompiledProcess(
         name=ir.name,
         style=style,
-        source=source,
+        source=generate_python_source(ir, observable=observable),
         ir=ir,
-        step_instance=instance,
         inputs=list(ir.inputs),
         outputs=list(ir.outputs),
         root_flags=list(ir.root_flags),

@@ -50,7 +50,6 @@ from .codegen.linker import (
 )
 from .codegen.python_backend import (
     CompiledProcess,
-    _instantiate_step,
     compile_step,
     emit_statement_lines as emit_python_statement_lines,
     generate_python_source,
@@ -640,13 +639,11 @@ def _linked_executable(
             interface = link_interface(
                 parts, result.program.inputs, result.program.outputs
             )
-            instance = _instantiate_step(source, name, observable)
             return CompiledProcess(
                 name=name,
                 style=style,
                 source=source,
                 ir=None,
-                step_instance=instance,
                 inputs=list(interface["inputs"]),
                 outputs=list(interface["outputs"]),
                 root_flags=list(interface["root_flags"]),
@@ -654,14 +651,11 @@ def _linked_executable(
                 observable=observable,
             )
     ir = result.step_ir(style)
-    source = generate_python_source(ir, observable=observable)
-    instance = _instantiate_step(source, ir.name, observable)
     return CompiledProcess(
         name=ir.name,
         style=style,
-        source=source,
+        source=generate_python_source(ir, observable=observable),
         ir=ir,
-        step_instance=instance,
         inputs=list(ir.inputs),
         outputs=list(ir.outputs),
         root_flags=list(ir.root_flags),
@@ -685,7 +679,7 @@ def link_units(
     program order).  Linking renames every unit artifact from canonical to
     actual names, shifts clock-class ids into disjoint ranges, recomputes
     the root presence keys and defaults for the merged clock forest, and
-    instantiates the merged step exactly like a monolithic compile --
+    wraps the merged step exactly like a monolithic compile --
     trace-equivalence of the two paths is what the differential fuzz suite
     proves.
     """
@@ -752,9 +746,9 @@ def linked_result_from_record(
     """Rehydrate a linked result from a persisted ``kind: "linked"`` record.
 
     No unit records are loaded: artifacts and statistics come straight from
-    the record and the executables are re-executed from their stored step
-    sources, so a pruned unit record never forces a recompile as long as
-    the linked record survives.
+    the record and the executables are rebuilt from their stored step
+    sources (loaded on first use), so a pruned unit record never forces a
+    recompile as long as the linked record survives.
     """
     from .service.store import executable_from_record, types_from_record
 

@@ -8,13 +8,14 @@ a :class:`SourceLocation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position in a SIGNAL source text (1-based line and column)."""
+class SourceLocation(NamedTuple):
+    """A position in a SIGNAL source text (1-based line and column).
+
+    An immutable named tuple: the lexer builds one per token.
+    """
 
     line: int
     column: int

@@ -2,13 +2,15 @@
 
 The token stream is deliberately simple: keywords, identifiers, numeric and
 boolean literals, operators and punctuation.  Comments follow the SIGNAL
-convention of ``%`` to end of line.
+convention of ``%`` to end of line and may hold any text; elsewhere,
+identifiers and numbers are ASCII, and any other character (a non-ASCII
+letter or digit included) is a :class:`~repro.errors.LexerError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+import re
+from typing import List, NamedTuple, Optional, Union
 
 from ..errors import LexerError, SourceLocation
 
@@ -67,10 +69,26 @@ _OPERATORS = [
     "$",
 ]
 
+#: One alternative per token class, tried in order at each position; the
+#: last one matches any other single character, so ``finditer`` tiles the
+#: whole source.  Identifiers and numbers are ASCII only.
+_MASTER = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<comment>%[^\n]*)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<real>[0-9]+\.[0-9]+)"
+    r"|(?P<integer>[0-9]+)"
+    r"|(?P<operator>" + "|".join(re.escape(operator) for operator in _OPERATORS) + ")"
+    r"|(?P<other>.)",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class Token:
-    """A lexical token with its kind, text, literal value and position."""
+
+class Token(NamedTuple):
+    """A lexical token with its kind, text, literal value and position.
+
+    An immutable named tuple, so building one per token is cheap.
+    """
 
     kind: str  # "keyword" | "identifier" | "integer" | "real" | "operator" | "eof"
     text: str
@@ -88,94 +106,46 @@ class Token:
 
 
 def tokenize(source: str, filename: str = "<signal>") -> List[Token]:
-    """Tokenize ``source`` into a list of tokens terminated by an EOF token."""
+    """Tokenize ``source`` into a list of tokens terminated by an EOF token.
+
+    One pass of the master pattern; a token's column is its offset from
+    the start of its line, which only whitespace can advance.
+    """
     tokens: List[Token] = []
+    append = tokens.append
     line = 1
-    column = 1
-    index = 0
-    length = len(source)
-
-    def location() -> SourceLocation:
-        return SourceLocation(line=line, column=column, filename=filename)
-
-    def advance(count: int) -> None:
-        nonlocal index, line, column
-        for _ in range(count):
-            if index < length and source[index] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            index += 1
-
-    while index < length:
-        char = source[index]
-
-        # Whitespace.
-        if char in " \t\r\n":
-            advance(1)
+    line_start = 0
+    for match in _MASTER.finditer(source):
+        kind = match.lastgroup
+        text = match.group()
+        if kind == "space":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
             continue
-
-        # Comments: '%' to end of line.
-        if char == "%":
-            while index < length and source[index] != "\n":
-                advance(1)
+        if kind == "comment":
             continue
-
-        start_location = location()
-
-        # Identifiers and keywords.
-        if char.isalpha() or char == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                advance(1)
-            text = source[start:index]
+        location = SourceLocation(line, match.start() - line_start + 1, filename)
+        if kind == "name":
             lowered = text.lower()
             if lowered in KEYWORDS:
-                if lowered in ("true", "false"):
-                    tokens.append(
-                        Token("keyword", lowered, start_location, value=(lowered == "true"))
-                    )
-                else:
-                    tokens.append(Token("keyword", lowered, start_location))
+                value = lowered == "true" if lowered in ("true", "false") else None
+                append(Token("keyword", lowered, location, value))
             else:
-                tokens.append(Token("identifier", text, start_location))
-            continue
-
-        # Numeric literals (integer or real).
-        if char.isdigit():
-            start = index
-            is_real = False
-            while index < length and source[index].isdigit():
-                advance(1)
-            if (
-                index + 1 < length
-                and source[index] == "."
-                and source[index + 1].isdigit()
-            ):
-                is_real = True
-                advance(1)
-                while index < length and source[index].isdigit():
-                    advance(1)
-            text = source[start:index]
-            if is_real:
-                tokens.append(Token("real", text, start_location, value=float(text)))
-            else:
-                tokens.append(Token("integer", text, start_location, value=int(text)))
-            continue
-
-        # Operators and punctuation.
-        matched = False
-        for operator in _OPERATORS:
-            if source.startswith(operator, index):
-                advance(len(operator))
-                tokens.append(Token("operator", operator, start_location))
-                matched = True
-                break
-        if matched:
-            continue
-
-        raise LexerError(f"unexpected character {char!r}", start_location)
-
-    tokens.append(Token("eof", "", location()))
+                append(Token("identifier", text, location))
+        elif kind == "integer":
+            append(Token("integer", text, location, int(text)))
+        elif kind == "real":
+            append(Token("real", text, location, float(text)))
+        elif kind == "operator":
+            append(Token("operator", text, location))
+        elif text.isalnum():
+            raise LexerError(
+                f"unexpected character {text!r}: identifiers and numbers are ASCII",
+                location,
+            )
+        else:
+            raise LexerError(f"unexpected character {text!r}", location)
+    append(Token("eof", "", SourceLocation(line, len(source) - line_start + 1, filename)))
     return tokens

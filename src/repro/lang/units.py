@@ -177,39 +177,40 @@ def split_units(program: KernelProgram) -> List[ProgramUnit]:
     uf = _UnionFind()
     for signal in program.signals:
         uf.add(signal)
-    for process in program.processes:
-        names = process_signals(process)
+    process_names = [process_signals(process) for process in program.processes]
+    for names in process_names:
         for other in names[1:]:
             uf.union(names[0], other)
 
-    # Group signals by component root, ordered by first declaration.
+    # Group signals, role lists and processes by component root in one pass
+    # each, keeping program order; components are ordered by first
+    # declaration.
     component_of: Dict[str, List[str]] = {}
-    order: List[str] = []
     for signal in program.signals:
-        root = uf.find(signal)
-        if root not in component_of:
-            component_of[root] = []
-            order.append(root)
-        component_of[root].append(signal)
+        component_of.setdefault(uf.find(signal), []).append(signal)
+    roles: Dict[str, Tuple[List[str], List[str], List[str]]] = {
+        root: ([], [], []) for root in component_of
+    }
+    for position, names in enumerate((program.inputs, program.outputs, program.locals)):
+        for signal in names:
+            roles[uf.find(signal)][position].append(signal)
+    processes_of: Dict[str, List[KernelProcess]] = {root: [] for root in component_of}
+    for process, names in zip(program.processes, process_names):
+        if names:
+            members = processes_of.get(uf.find(names[0]))
+            if members is not None:
+                members.append(process)
 
     units: List[ProgramUnit] = []
-    for index, root in enumerate(order):
-        members = set(component_of[root])
+    for index, (root, signals) in enumerate(component_of.items()):
+        inputs, outputs, locals_ = roles[root]
         sub = KernelProgram(
             name=program.name,
-            inputs=[s for s in program.inputs if s in members],
-            outputs=[s for s in program.outputs if s in members],
-            locals=[s for s in program.locals if s in members],
-            declared_types={
-                s: program.declared_types.get(s, "")
-                for s in program.signals
-                if s in members
-            },
-            processes=[
-                p
-                for p in program.processes
-                if process_signals(p) and uf.find(process_signals(p)[0]) == root
-            ],
+            inputs=inputs,
+            outputs=outputs,
+            locals=locals_,
+            declared_types={s: program.declared_types.get(s, "") for s in signals},
+            processes=processes_of[root],
         )
         to_canonical, from_canonical = _canonical_maps(sub)
         canonical = rename_program(sub, to_canonical, name=UNIT_PROGRAM_NAME)
@@ -238,20 +239,22 @@ def split_units(program: KernelProgram) -> List[ProgramUnit]:
     return units
 
 
+#: a canonical signal token (see :func:`_canonical_maps`) standing alone
+#: between non-alphanumeric boundaries
+_CANONICAL_TOKEN = re.compile(r"(?<![A-Za-z0-9])[iol][0-9]+(?![A-Za-z0-9])")
+
+
 def rename_text(text: str, mapping: Dict[str, str]) -> str:
     """Rename canonical signal tokens inside rendered artifact text.
 
     Used by the link stage to rewrite per-unit clock-tree and clock-system
-    texts (produced under canonical names) back to the program's actual
-    names.  Tokens are matched with non-alphanumeric boundaries so that
-    derived identifiers (``h_C_i0``, ``z_i0``, ``[~i0]``) are rewritten
-    too; canonical names never occur as substrings of each other thanks to
-    the trailing-digit guard.
+    texts and step bodies (produced under canonical names) back to the
+    program's actual names; ``mapping`` is a unit's ``from_canonical``.
+    Tokens are matched with non-alphanumeric boundaries so that derived
+    identifiers (``h_C_i0``, ``z_i0``, ``[~i0]``) are rewritten too, while
+    ``i1`` never matches inside ``i12`` or ``xi1``.  Canonical tokens
+    missing from ``mapping`` are left as they are.
     """
     if not mapping or not text:
         return text
-    alternation = "|".join(
-        re.escape(name) for name in sorted(mapping, key=len, reverse=True)
-    )
-    pattern = re.compile(rf"(?<![A-Za-z0-9])(?:{alternation})(?![A-Za-z0-9])")
-    return pattern.sub(lambda match: mapping[match.group(0)], text)
+    return _CANONICAL_TOKEN.sub(lambda match: mapping.get(match[0], match[0]), text)

@@ -20,7 +20,7 @@ of the compiler:
   sidestep the GIL.
 
 Cache hits return a copy of the cached ``CompilationResult`` carrying fresh
-executable instances (rebuilt from the cached generated source), so a hit
+executable instances (new instances of the cached step class), so a hit
 behaves exactly like a fresh compilation and callers' simulation states are
 fully isolated; the analysis artifacts (hierarchy, schedule, sources) are
 shared.
@@ -489,8 +489,8 @@ class CompilationService:
 
         The cached executables carry mutable delay-register state, so the
         hit returns a copy of the result with brand-new step instances
-        (rebuilt from the cached generated source -- a tiny cost next to the
-        pipeline): every caller gets isolated simulation state, and a hit
+        (of the step class the cached result loads once -- a tiny cost next
+        to the pipeline): every caller gets isolated simulation state, and a hit
         can never perturb an earlier caller's in-progress run.  The analysis
         artifacts (hierarchy, schedule, IR, sources) are shared.
         """

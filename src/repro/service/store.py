@@ -283,7 +283,7 @@ def executable_from_record(
 ) -> CompiledProcess:
     """Rebuild a runnable step from a persisted record.
 
-    The generated step source is re-executed; delay registers start from
+    The generated step source is loaded on first use; delay registers start from
     their initial values, exactly like a fresh compile (and like the
     fresh-instance copy a memory cache hit hands out).
     """
