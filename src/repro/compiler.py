@@ -71,7 +71,6 @@ __all__ = [
     "analyze_source",
     "compile_unit_record",
     "link_units",
-    "linked_result_from_record",
     "compile_modular_source",
 ]
 
@@ -446,11 +445,6 @@ class LinkedCompilationResult:
     process: Optional[Process] = None
     executable: Optional[CompiledProcess] = None
     executable_flat: Optional[CompiledProcess] = None
-    #: the persisted linked record this result was rehydrated from, if any;
-    #: record-backed results serve artifacts from the record (the unit
-    #: records are deliberately not loaded -- that is the point of the
-    #: linked tier) and can only render the style the record was built for
-    record: Optional[dict] = None
     _linked_irs: Dict[GenerationStyle, StepIR] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -461,11 +455,6 @@ class LinkedCompilationResult:
     @property
     def name(self) -> str:
         return self.program.name
-
-    def unit_fingerprints(self) -> list:
-        if self.record is not None and not self.units:
-            return list(self.record["unit_fingerprints"])
-        return [unit.fingerprint() for unit in self.units]
 
     def interpreter(self) -> KernelInterpreter:
         """A fresh reference interpreter for the same (whole) program."""
@@ -494,28 +483,9 @@ class LinkedCompilationResult:
             for unit, record in zip(self.units, self.unit_records)
         ]
 
-    def _require_unit_records(self) -> None:
-        if self.record is not None and not self.unit_records:
-            raise ValueError(
-                "linked result was rehydrated from a store record rendered "
-                f"for style {self.record['options']['style']!r}; other "
-                "artifacts require a re-link from unit records"
-            )
-
-    def _record_artifact(
-        self, key: str, style: Optional[GenerationStyle] = None
-    ) -> Optional[str]:
-        """The stored artifact of a record-backed result, or ``None``."""
-        if self.record is None:
-            return None
-        if style is not None and style.value != self.record["options"]["style"]:
-            return None
-        return self.record["artifacts"][key]
-
     def step_ir(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> StepIR:
         ir = self._linked_irs.get(style)
         if ir is None:
-            self._require_unit_records()
             ir = link_step_ir(
                 self.program.name,
                 style,
@@ -538,7 +508,6 @@ class LinkedCompilationResult:
         cached = self._linked_sources.get((backend, style.value))
         if cached is not None:
             return cached
-        self._require_unit_records()
         parts = self._parts(style)
         arguments = (self.program.name, style, parts, self.program.inputs, self.program.outputs)
         if backend == "python":
@@ -557,28 +526,16 @@ class LinkedCompilationResult:
         return source
 
     def python_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        stored = self._record_artifact("python", style)
-        if stored is not None:
-            return stored
         return self._linked_source("python", style)
 
     def c_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        stored = self._record_artifact("c", style)
-        if stored is not None:
-            return stored
         return self._linked_source("c", style)
 
     def c_shared_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
-        stored = self._record_artifact("c_shared", style)
-        if stored is not None:
-            return stored
         return self._linked_source("c_shared", style)
 
     # -- composed artifacts ---------------------------------------------------
     def tree_text(self) -> str:
-        stored = self._record_artifact("tree")
-        if stored is not None:
-            return stored
         forests = []
         free_names = []
         for unit, record in zip(self.units, self.unit_records):
@@ -595,19 +552,21 @@ class LinkedCompilationResult:
 
     @property
     def clock_system(self) -> _LinkedClockSystemText:
-        stored = self._record_artifact("clocks")
-        if stored is not None:
-            return _LinkedClockSystemText(stored)
-        sections = []
+        """The per-unit clock systems under one header for the program.
+
+        Each unit text starts with its own ``clock system of U (k
+        equations)`` header; the linked text keeps only the equation lines
+        (renamed to actual signals) and heads them like a monolithic
+        :class:`ClockSystem`, with the program name and the summed count.
+        """
+        equations = []
         for unit, record in zip(self.units, self.unit_records):
-            sections.append(
-                rename_text(record["artifacts"]["clocks"], unit.from_canonical)
-            )
-        return _LinkedClockSystemText("\n\n".join(sections))
+            text = rename_text(record["artifacts"]["clocks"], unit.from_canonical)
+            equations.extend(text.splitlines()[1:])
+        header = f"clock system of {self.program.name} ({len(equations)} equations)"
+        return _LinkedClockSystemText("\n".join([header] + equations))
 
     def statistics(self) -> Dict[str, int]:
-        if self.record is not None and not self.unit_records:
-            return dict(self.record["statistics"])
         stats: Dict[str, int] = {key: 0 for key in _ADDITIVE_STATS}
         forest_height = 0
         for record in self.unit_records:
@@ -734,37 +693,4 @@ def compile_modular_source(
         build_flat=build_flat,
         observable=observable,
         process=process,
-    )
-
-
-def linked_result_from_record(
-    record: dict,
-    program: KernelProgram,
-    units: list,
-    process: Optional[Process] = None,
-) -> LinkedCompilationResult:
-    """Rehydrate a linked result from a persisted ``kind: "linked"`` record.
-
-    No unit records are loaded: artifacts and statistics come straight from
-    the record and the executables are rebuilt from their stored step
-    sources (loaded on first use), so a pruned unit record never forces a
-    recompile as long as the linked record survives.
-    """
-    from .service.store import executable_from_record, types_from_record
-
-    options = record["options"]
-    executable = executable_from_record(record, flat=False)
-    executable_flat = None
-    if options["build_flat"] and record.get("executable_flat") is not None:
-        executable_flat = executable_from_record(record, flat=True)
-    return LinkedCompilationResult(
-        program=program,
-        types=types_from_record(record),
-        units=list(units),
-        unit_records=[],
-        observable=options["observable"],
-        process=process,
-        executable=executable,
-        executable_flat=executable_flat,
-        record=record,
     )

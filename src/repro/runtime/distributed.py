@@ -80,16 +80,8 @@ def _root_flag_atoms(result) -> List[List[Tuple[str, str]]]:
             for c in hierarchy.free_classes()
             if not c.is_null
         ]
-    units = getattr(result, "units", None) or []
-    records = getattr(result, "unit_records", None) or []
-    if len(units) != len(records) or not units:
-        raise PartitionError(
-            "cannot recover free-clock membership from a record-backed "
-            "linked result; rebuild the distributed harness with a live "
-            "compilation service"
-        )
     atoms_per_flag: List[List[Tuple[str, str]]] = []
-    for unit, record in zip(units, records):
+    for unit, record in zip(result.units, result.unit_records):
         rename = unit.from_canonical
         by_id = {free["id"]: free["atoms"] for free in record["free_classes"]}
         payload = next(iter(record["ir"].values()))

@@ -41,28 +41,14 @@ outside the cache lock, so it may safely take the service lock.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Generic,
-    Hashable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    TypeVar,
-)
+from typing import Callable, Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 
 __all__ = [
     "CacheStats",
     "LRUCache",
-    "LINK_FINGERPRINT_VERSION",
-    "link_fingerprint",
     "source_digest",
 ]
 
@@ -72,50 +58,6 @@ T = TypeVar("T")
 def source_digest(source: str) -> str:
     """SHA-256 of raw source text (the exact-repeat fast path key)."""
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-#: version tag folded into every link fingerprint; bump whenever the link
-#: stage's output could change for identical inputs (renaming scheme, root
-#: presence-key derivation, code emission) so stale linked records miss
-LINK_FINGERPRINT_VERSION = "link-fingerprint-v1"
-
-
-def link_fingerprint(
-    name: str,
-    unit_fingerprints: Sequence[str],
-    renames: Sequence[Mapping[str, str]],
-    input_order: Sequence[str],
-    output_order: Sequence[str],
-    style_value: str,
-    build_flat: bool,
-    observable: bool,
-) -> str:
-    """The persistent identity of one *linked* compilation result.
-
-    A linked result is fully determined by the ordered tuple of unit
-    fingerprints (each unit fingerprint already pins the unit's canonical
-    kernel), the per-unit canonical->actual rename maps, the enclosing
-    program's name and interface declaration order, and the code-generation
-    options.  Hashing exactly these inputs means two different programs that
-    embed the same modules under the same actual names share one linked
-    record, while any change that could alter the composed artifacts
-    (renames, unit order, options) produces a different key.
-    """
-    payload = json.dumps(
-        [
-            LINK_FINGERPRINT_VERSION,
-            name,
-            list(unit_fingerprints),
-            [sorted(rename.items()) for rename in renames],
-            list(input_order),
-            list(output_order),
-            style_value,
-            bool(build_flat),
-            bool(observable),
-        ],
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass

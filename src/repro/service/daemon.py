@@ -19,8 +19,13 @@ A ``compile`` request is answered from the first of three tiers:
    a hit is promoted into tier 1, so a *restarted* daemon re-warms its
    memory cache from disk as traffic arrives;
 3. **compile** -- the wrapped :class:`CompilationService` runs the full
-   pipeline on the pooled manager; the rendered record is written back to
+   pipeline on the pooled manager (or, for ``modular`` requests, compiles
+   the novel units and links); the rendered record is written back to
    tiers 1 and 2.
+
+Every tier is keyed by the whole-program fingerprint, so a modular miss
+renders one record and writes one ``kind: "program"`` entry, plus a
+``kind: "unit"`` entry per unit it had to compile.
 
 Protocol
 --------
@@ -99,7 +104,6 @@ from .store import (
     CompileStore,
     executable_from_record,
     key_from_record,
-    linked_store_key,
     record_from_result,
     store_key,
     unit_store_key,
@@ -528,9 +532,8 @@ class CompilationDaemon:
         """Build the cache key a ``store-get`` request names.
 
         ``kind: "unit"`` addresses a per-unit artifact record by its unit
-        fingerprint (modular compilation), ``kind: "linked"`` a composed
-        linked record by its link fingerprint; the default kind
-        ``"program"`` keeps the historical whole-program addressing.
+        fingerprint (modular compilation); the default kind ``"program"``
+        keeps the historical whole-program addressing.
         """
         fingerprint = request.get("fingerprint")
         if not isinstance(fingerprint, str) or not fingerprint:
@@ -538,10 +541,8 @@ class CompilationDaemon:
         kind = _field(request, "kind", str, "program")
         if kind == "unit":
             return unit_store_key(fingerprint)
-        if kind == "linked":
-            return linked_store_key(fingerprint)
         if kind != "program":
-            raise _RequestError("field 'kind' must be 'program', 'unit' or 'linked'")
+            raise _RequestError("field 'kind' must be 'program' or 'unit'")
         style_name = _field(request, "style", str, GenerationStyle.HIERARCHICAL.value)
         try:
             style = GenerationStyle(style_name)

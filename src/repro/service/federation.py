@@ -516,7 +516,7 @@ class CompileGateway(CompilationDaemon):
             "errors": 0,
         }
         # Modular tiers live in the per-daemon *service* stats; summing
-        # them here answers "how hot are the unit and linked tiers" for
+        # them here answers "how hot are the unit and result caches" for
         # the whole fleet the same way ``fleet`` does for record tiers.
         modular_fleet = {
             "unit_hits": 0,

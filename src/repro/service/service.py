@@ -14,6 +14,11 @@ of the compiler:
   the code-generation options), with a source-text fast path for exact
   repeats -- kernel-equivalent sources (e.g. reformatted text) share one
   entry;
+* :meth:`CompilationService.compile_modular` compiles unit by unit against
+  a second LRU of per-unit artifact records, links, and caches the linked
+  result in the *same* program-keyed LRU (the key's ``modular`` field keeps
+  the two result types apart), so modular and monolithic requests share
+  one hit/miss pipeline and one source-digest memo;
 * :meth:`CompilationService.compile_batch` compiles many sources serially
   on the pool, and :meth:`CompilationService.compile_batch_records` fans
   them out to worker **processes** that return JSON artifact records and
@@ -42,11 +47,14 @@ through it, and nothing else**:
 
 * a scope is created on the first (miss) compilation of its program and
   reused by every later recompilation;
-* a scope is released when the last LRU entry for its fingerprint (any
-  style/option combination) is evicted, when the compilation that would
-  have populated the entry raises (including ``BaseException`` such as a
-  ``KeyboardInterrupt`` -- nothing would ever evict the entry otherwise),
-  or when the pooled manager is recycled (see below);
+* a scope is released when the last *monolithic* LRU entry for its
+  fingerprint (any style/option combination) is evicted, when the
+  compilation that would have populated the entry raises (including
+  ``BaseException`` such as a ``KeyboardInterrupt`` -- nothing would ever
+  evict the entry otherwise), or when the pooled manager is recycled (see
+  below);
+* linked (modular) entries never hold a program scope: their units
+  compile in ``unit:`` scopes, each released with its unit-LRU record;
 * releasing a scope drops it from the registry and clears its
   value-encoding memo.  The variables and nodes the program interned in the
   manager's unique table are *not* reclaimed -- that is what manager
@@ -103,26 +111,18 @@ from ..compiler import (
     compile_process,
     compile_unit_record,
     link_units,
-    linked_result_from_record,
 )
 from ..lang.ast import Process
 from ..lang.kernel import KernelProgram, normalize
 from ..lang.parser import parse_process
 from ..lang.units import split_units
-from .cache import LRUCache, link_fingerprint, source_digest
-from .store import (
-    CompileStore,
-    linked_record_from_result,
-    linked_store_key,
-    record_from_result,
-    store_key,
-    unit_store_key,
-)
+from .cache import LRUCache, source_digest
+from .store import CompileStore, record_from_result, store_key, unit_store_key
 
 __all__ = ["CompilationService"]
 
-#: cache key: (kernel fingerprint, style, build_flat, observable)
-_CacheKey = Tuple[str, GenerationStyle, bool, bool]
+#: cache key: (kernel fingerprint, style, build_flat, observable, modular)
+_CacheKey = Tuple[str, GenerationStyle, bool, bool, bool]
 
 #: scope-namespace prefix for per-unit compilations; unit fingerprints are
 #: hex digests, so the prefix keeps them disjoint from whole-program
@@ -236,7 +236,8 @@ class CompilationService:
     Parameters
     ----------
     max_entries:
-        Capacity of the LRU compile cache (whole compilation results).
+        Capacity of the LRU compile cache (whole compilation results,
+        monolithic and linked alike).
     manager:
         Optionally, an existing shared manager to pool on (a fresh one is
         created by default).
@@ -265,7 +266,6 @@ class CompilationService:
         max_pool_nodes: Optional[int] = None,
         store: Optional[Union[CompileStore, str, os.PathLike]] = None,
         max_unit_entries: Optional[int] = None,
-        max_linked_entries: Optional[int] = None,
     ):
         self._manager = manager if manager is not None else BDDManager()
         # Serializes compilations on the pooled manager and guards its
@@ -279,9 +279,10 @@ class CompilationService:
         #: disk store process workers layer under their caches (may be None)
         self.store: Optional[CompileStore] = store
         self._store_path = str(store.path) if store is not None else None
-        self._results: LRUCache[CompilationResult] = LRUCache(
-            max_entries, on_evict=self._on_result_evicted
-        )
+        # Whole results, monolithic and linked, keyed by ``_key``.
+        self._results: LRUCache[
+            Union[CompilationResult, LinkedCompilationResult]
+        ] = LRUCache(max_entries, on_evict=self._on_result_evicted)
         # Per-unit artifact records (modular compilation), keyed by unit
         # fingerprint.  Units are small next to whole results, and one
         # program holds several, so the default capacity is a multiple of
@@ -291,23 +292,8 @@ class CompilationService:
         self._unit_records: LRUCache[Dict[str, object]] = LRUCache(
             max_unit_entries, on_evict=self._on_unit_evicted
         )
-        # Composed linked results (modular compilation), keyed by the link
-        # fingerprint -- the digest of the ordered unit-fingerprint tuple,
-        # the rename maps and the code-generation options (see
-        # :func:`repro.service.cache.link_fingerprint`).  A hit skips unit
-        # resolution and the link stage entirely.  ``max_linked_entries=0``
-        # disables the tier (every modular request re-links from units, the
-        # pre-link behaviour benchmarks compare against).
-        if max_linked_entries is None:
-            max_linked_entries = max_entries
-        self._linked_results: Optional[LRUCache[LinkedCompilationResult]] = (
-            LRUCache(max_linked_entries) if max_linked_entries > 0 else None
-        )
         # Source-text digest -> kernel fingerprint (exact-repeat fast path).
         self._source_fingerprints: LRUCache[str] = LRUCache(max(max_entries * 4, 16))
-        # (source digest, options) -> link fingerprint: the modular
-        # exact-repeat fast path (skips parse + normalize + split on a hit).
-        self._link_fingerprints: LRUCache[str] = LRUCache(max(max_entries * 4, 16))
         # namespace (program fingerprint, or unit prefix + unit fingerprint)
         # -> scope on the current pooled manager
         self._scopes: Dict[str, ScopedBDDManager] = {}
@@ -325,7 +311,6 @@ class CompilationService:
         self._links = 0
         self._link_hits = 0
         self._link_misses = 0
-        self._link_store_hits = 0
 
     @property
     def manager(self) -> BDDManager:
@@ -339,8 +324,9 @@ class CompilationService:
         style: GenerationStyle,
         build_flat: bool,
         observable: bool,
+        modular: bool,
     ) -> _CacheKey:
-        return (fingerprint, style, build_flat, observable)
+        return (fingerprint, style, build_flat, observable, modular)
 
     def _scope_for(self, namespace: str) -> ScopedBDDManager:
         """The persistent scope of one program (or unit) on the pool.
@@ -369,19 +355,24 @@ class CompilationService:
             scope.encoding_cache.clear()
 
     def _release_orphan_scopes(self, fingerprint: str) -> None:
-        """Drop a program's scope when no cached result references it.
+        """Drop a program's scope when no monolithic result references it.
 
         The scope and its encoding cache hold BDD handles; releasing them
         keeps the service's bookkeeping bounded by the LRU under varied
         traffic.  (Nodes already interned in the manager's unique table are
         not reclaimed -- recycling the table is what the watermark is for.)
+        Linked entries never hold the program scope: their BDDs live in
+        per-unit scopes, which follow the unit LRU.
         """
-        if any(key[0] == fingerprint for key in self._results.keys()):
+        if any(
+            key[0] == fingerprint and not key[4] for key in self._results.keys()
+        ):
             return  # another style/options entry still uses this program
         self._drop_scopes(fingerprint)
 
     def _on_result_evicted(self, key, value) -> None:
-        self._release_orphan_scopes(key[0])
+        if not key[4]:
+            self._release_orphan_scopes(key[0])
 
     def _release_unit_scopes(self, fingerprint: str) -> None:
         """Drop a unit's compile scope when its record is no longer cached.
@@ -425,14 +416,21 @@ class CompilationService:
         build_flat: bool,
         observable: bool,
         program: Optional[KernelProgram] = None,
-    ) -> CompilationResult:
+        modular: bool = False,
+        store: Optional[CompileStore] = None,
+    ) -> Union[CompilationResult, LinkedCompilationResult]:
         """The shared miss/hit pipeline behind every compile entry point.
 
-        Only a genuine miss takes the compile lock, so fully-warm traffic
-        never waits behind a compilation.
+        ``modular`` selects the miss path (per-unit compiles plus a link,
+        see :meth:`_link`) and the key's last field, so one program's
+        monolithic and linked results are cached side by side.  Hits never
+        take the compile lock, so fully-warm traffic never waits behind a
+        compilation.
         """
         with self._lock:
             self._requests += 1
+            if modular:
+                self._modular_requests += 1
 
         digest = None
         counted_miss = False
@@ -441,10 +439,10 @@ class CompilationService:
             fingerprint = self._source_fingerprints.get(digest)
             if fingerprint is not None:
                 cached = self._results.get(
-                    self._key(fingerprint, style, build_flat, observable)
+                    self._key(fingerprint, style, build_flat, observable, modular)
                 )
                 if cached is not None:
-                    return self._fresh_hit(cached)
+                    return self._fresh_hit(cached, modular)
                 counted_miss = True
                 # Known program, options not cached yet: reparse below (the
                 # kernel form is needed by the pipeline anyway).
@@ -458,33 +456,35 @@ class CompilationService:
         if digest is not None:
             self._source_fingerprints.put(digest, fingerprint)
 
-        key = self._key(fingerprint, style, build_flat, observable)
+        key = self._key(fingerprint, style, build_flat, observable, modular)
         # The fast path above already charged this request with a miss; avoid
         # double counting while still honouring a concurrent request that may
         # have filled the entry in the meantime.
         cached = self._results.peek(key) if counted_miss else self._results.get(key)
         if cached is not None:
-            return self._fresh_hit(cached)
+            return self._fresh_hit(cached, modular)
 
-        try:
-            with self._compile_lock:
-                result = self._compile_program(
-                    process, program, fingerprint, style, build_flat, observable
-                )
-        except BaseException:
-            # A failed compilation stores no result, so nothing would ever
-            # evict the scope registered above -- release it now.  This must
-            # cover BaseException, not just Exception: a compile interrupted
-            # by e.g. KeyboardInterrupt would otherwise leak its scope in a
-            # long-lived daemon.
-            self._release_orphan_scopes(fingerprint)
-            raise
+        if modular:
+            result = self._link(process, program, style, build_flat, observable, store)
+        else:
+            try:
+                with self._compile_lock:
+                    result = self._compile_program(
+                        process, program, fingerprint, style, build_flat, observable
+                    )
+            except BaseException:
+                # A failed compilation stores no result, so nothing would
+                # ever evict the scope registered above -- release it now.
+                # This must cover BaseException, not just Exception: a
+                # compile interrupted by e.g. KeyboardInterrupt would
+                # otherwise leak its scope in a long-lived daemon.
+                self._release_orphan_scopes(fingerprint)
+                raise
         self._results.put(key, result)
         self._maybe_recycle()
         return result
 
-    @staticmethod
-    def _fresh_hit(result: CompilationResult) -> CompilationResult:
+    def _fresh_hit(self, result, modular: bool):
         """Restore fresh-compile semantics on a cache hit.
 
         The cached executables carry mutable delay-register state, so the
@@ -492,8 +492,12 @@ class CompilationService:
         (of the step class the cached result loads once -- a tiny cost next
         to the pipeline): every caller gets isolated simulation state, and a hit
         can never perturb an earlier caller's in-progress run.  The analysis
-        artifacts (hierarchy, schedule, IR, sources) are shared.
+        artifacts (hierarchy, schedule, IR, sources) are shared.  A modular
+        hit counts as ``link_hits``.
         """
+        if modular:
+            with self._lock:
+                self._link_hits += 1
         executable = result.executable.fresh()
         executable_flat = (
             result.executable_flat.fresh() if result.executable_flat is not None else None
@@ -600,12 +604,32 @@ class CompilationService:
         self._maybe_recycle()
         return record
 
-    def _linked_fresh_hit(
-        self, cached: LinkedCompilationResult
+    def _link(
+        self,
+        process: Process,
+        program: KernelProgram,
+        style: GenerationStyle,
+        build_flat: bool,
+        observable: bool,
+        store: Optional[CompileStore],
     ) -> LinkedCompilationResult:
+        """The modular miss path: resolve every unit, then link them."""
         with self._lock:
-            self._link_hits += 1
-        return self._fresh_hit(cached)
+            self._link_misses += 1
+        units = split_units(program)
+        records = [self._unit_record_for(unit, store) for unit in units]
+        linked = link_units(
+            program,
+            units,
+            records,
+            style=style,
+            build_flat=build_flat,
+            observable=observable,
+            process=process,
+        )
+        with self._lock:
+            self._links += 1
+        return linked
 
     def compile_modular(
         self,
@@ -628,97 +652,22 @@ class CompilationService:
         trace-equivalent to the monolithic :meth:`compile` of the same
         source.
 
-        Composed results are cached in a third tier above the unit cache:
-        the **linked-result LRU**, keyed by the link fingerprint (ordered
-        unit tuple + renames + options), with ``kind: "linked"`` records
-        spilled to the disk store.  A repeat of the same composition is a
-        ``link_hits`` hit that skips unit resolution and the link stage and
-        returns a copy with fresh executables, exactly like :meth:`compile`
-        hits; a store hit rehydrates without loading unit records, so a
-        pruned unit record never forces a recompile while its linked record
-        survives.  Unit-granularity sharing is untouched -- a *novel*
-        composition of cached units still pays only the link.
+        The linked result is cached in the program-keyed result LRU that
+        :meth:`compile` uses, under the same fingerprint and options plus
+        ``modular=True``.  A repeat of the same program is a ``link_hits``
+        hit that skips unit resolution and the link stage and returns a
+        copy with fresh executables, exactly like :meth:`compile` hits; an
+        exact textual repeat does not even parse.  A *novel* program over
+        cached units still pays only the link.  Whole linked results are
+        never written to the store: that is the daemon's program-record
+        tier (``link_store_hits`` is therefore always 0).
         """
         if source is None and process is None:
             raise ValueError("compile_modular needs source= or process=")
-        with self._lock:
-            self._requests += 1
-            self._modular_requests += 1
-        if store is None:
-            store = self.store
-
-        digest_key = None
-        if source is not None and self._linked_results is not None:
-            digest_key = (source_digest(source), style.value, build_flat, observable)
-            memo_fp = self._link_fingerprints.get(digest_key)
-            if memo_fp is not None:
-                cached = self._linked_results.get(memo_fp)
-                if cached is not None:
-                    return self._linked_fresh_hit(cached)
-
-        if process is None:
-            process = parse_process(source)
-        if program is None:
-            program = normalize(process)
-        units = split_units(program)
-        link_fp = link_fingerprint(
-            program.name,
-            [unit.fingerprint() for unit in units],
-            [unit.from_canonical for unit in units],
-            program.inputs,
-            program.outputs,
-            style.value,
-            build_flat,
-            observable,
+        return self._compile_cached(
+            source, process, style, build_flat, observable, program=program,
+            modular=True, store=self.store if store is None else store,
         )
-        if digest_key is not None:
-            self._link_fingerprints.put(digest_key, link_fp)
-        if self._linked_results is not None:
-            cached = self._linked_results.get(link_fp)
-            if cached is not None:
-                return self._linked_fresh_hit(cached)
-            if store is not None:
-                record = store.get(linked_store_key(link_fp))
-                if (
-                    record is not None
-                    and record.get("program_fingerprint") == program.fingerprint()
-                ):
-                    with self._lock:
-                        self._link_store_hits += 1
-                    linked = linked_result_from_record(
-                        record, program, units, process=process
-                    )
-                    self._linked_results.put(link_fp, linked)
-                    return linked
-
-        with self._lock:
-            self._link_misses += 1
-        records = [self._unit_record_for(unit, store) for unit in units]
-        linked = link_units(
-            program,
-            units,
-            records,
-            style=style,
-            build_flat=build_flat,
-            observable=observable,
-            process=process,
-        )
-        with self._lock:
-            self._links += 1
-        if self._linked_results is not None:
-            self._linked_results.put(link_fp, linked)
-            if store is not None:
-                try:
-                    store.put(
-                        linked_store_key(link_fp),
-                        linked_record_from_result(
-                            linked, link_fp, style,
-                            build_flat=build_flat, observable=observable,
-                        ),
-                    )
-                except OSError:
-                    pass  # best-effort spill, as for unit records
-        return linked
 
     def compile_modular_record(
         self,
@@ -802,8 +751,8 @@ class CompilationService:
         sources (the parallel link stage): the batch is split up front,
         each distinct unit missing from the parent's unit LRU becomes one
         pool task, and the parent composes every program serially from
-        warm units through :meth:`compile_modular`, so repeated
-        compositions land in (and hit) the linked-result LRU.
+        warm units through :meth:`compile_modular`, so repeated programs
+        land in (and hit) the result LRU.
 
         A source that fails to compile raises its ``SignalError``.  Serial
         batches and process workers annotate it with ``batch_index``, the
@@ -1045,10 +994,7 @@ class CompilationService:
         """Drop cached results and scopes (interned pooled BDDs are kept)."""
         self._results.clear()
         self._unit_records.clear()
-        if self._linked_results is not None:
-            self._linked_results.clear()
         self._source_fingerprints.clear()
-        self._link_fingerprints.clear()
         self._clear_scopes()
 
     @property
@@ -1070,7 +1016,6 @@ class CompilationService:
             links = self._links
             link_hits = self._link_hits
             link_misses = self._link_misses
-            link_store_hits = self._link_store_hits
         stats = {
             "requests": requests,
             "cache_entries": len(self._results),
@@ -1093,15 +1038,8 @@ class CompilationService:
             "links": links,
             "link_hits": link_hits,
             "link_misses": link_misses,
-            "link_store_hits": link_store_hits,
-            "linked_cache_entries": (
-                len(self._linked_results) if self._linked_results is not None else 0
-            ),
-            "linked_cache_max_entries": (
-                self._linked_results.max_entries
-                if self._linked_results is not None
-                else 0
-            ),
+            # linked results are never read back from the store
+            "link_store_hits": 0,
         }
         stats.update(
             {f"cache_{name}": value for name, value in self._results.stats.as_dict().items()}

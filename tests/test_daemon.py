@@ -713,47 +713,70 @@ class TestStoreOps:
         assert origin == "memory"
         assert daemon.statistics()["daemon"]["compiles"] == 0
 
-    def test_linked_records_ride_the_store_ops(self, tmp_path):
-        """A modular compile spills its ``kind: "linked"`` record; the
-        store-get/store-put ops address it by link fingerprint, and an
-        injected linked record answers a modular miss on another daemon
-        without loading (or compiling) a single unit."""
-        from repro.codegen.ir import GenerationStyle
+    def test_store_ops_reject_the_linked_kind(self, tmp_path):
+        """Whole linked results have no store records of their own: both
+        store ops answer ``kind: "linked"`` with invalid-request, naming the
+        kinds that do exist."""
+        daemon = CompilationDaemon(store=str(tmp_path))
+        record, _ = daemon.compile_record(COUNTER_SOURCE, modular=True)
+        assert record["kind"] == "program"
+        response = daemon.handle_request(
+            {"op": "store-get", "kind": "linked", "fingerprint": record["fingerprint"]}
+        )
+        assert not response["ok"]
+        assert response["error"]["code"] == "invalid-request"
+        assert "'program'" in response["error"]["message"]
+        assert "'unit'" in response["error"]["message"]
+        response = daemon.handle_request(
+            {"op": "store-put", "record": {**record, "kind": "linked"}}
+        )
+        assert not response["ok"]
+        assert response["error"]["code"] == "invalid-request"
+        assert "'program'" in response["error"]["message"]
+        assert "'unit'" in response["error"]["message"]
+
+    def test_modular_miss_writes_one_program_record(self, tmp_path, monkeypatch):
+        """A modular daemon miss renders one record and writes it once as
+        ``kind: "program"``, plus one write per novel unit."""
         from repro.lang.kernel import normalize
         from repro.lang.parser import parse_process
         from repro.lang.units import split_units
-        from repro.service.cache import link_fingerprint
+        from repro.programs import FleetSpec, generate_fleet
+        from repro.service import daemon as daemon_module
 
-        daemon = CompilationDaemon(store=str(tmp_path / "first"))
-        daemon.compile_record(COUNTER_SOURCE, modular=True)
-        program = normalize(parse_process(COUNTER_SOURCE))
-        units = split_units(program)
-        link_fp = link_fingerprint(
-            program.name,
-            [unit.fingerprint() for unit in units],
-            [unit.from_canonical for unit in units],
-            program.inputs,
-            program.outputs,
-            GenerationStyle.HIERARCHICAL.value,
-            False,
-            True,
-        )
-        response = daemon.handle_request(
-            {"op": "store-get", "kind": "linked", "fingerprint": link_fp}
-        )
-        assert response["ok"] and response["found"]
-        record = response["record"]
-        assert record["kind"] == "linked"
-        assert record["fingerprint"] == link_fp
+        source = generate_fleet(
+            FleetSpec(name="ONE", programs=1, library_size=4,
+                      units_per_program=3, shared_units=3, seed=11)
+        )[0]
+        units = split_units(normalize(parse_process(source)))
+        assert len(units) == 3
+        renders = []
+        writes = []
+        real_render = daemon_module.record_from_result
+        real_put = CompileStore.put
 
-        other = CompilationDaemon(store=str(tmp_path / "second"))
-        put = other.handle_request({"op": "store-put", "record": record})
-        assert put["ok"] and put["stored"] is True
-        other.compile_record(COUNTER_SOURCE, modular=True)
-        service_stats = other.statistics()["service"]
-        assert service_stats["link_store_hits"] == 1
-        assert service_stats["unit_store_hits"] == 0
-        assert service_stats["unit_misses"] == 0
+        def counting_render(*args, **kwargs):
+            renders.append(1)
+            return real_render(*args, **kwargs)
+
+        def counting_put(store, key, record):
+            writes.append(record["kind"])
+            return real_put(store, key, record)
+
+        monkeypatch.setattr(daemon_module, "record_from_result", counting_render)
+        monkeypatch.setattr(CompileStore, "put", counting_put)
+        daemon = CompilationDaemon(store=str(tmp_path))
+        record, origin = daemon.compile_record(source, modular=True)
+        assert origin == "compiled" and record["kind"] == "program"
+        assert len(renders) == 1
+        assert sorted(writes) == ["program"] + ["unit"] * len(units)
+
+        # Another program made of the same units writes only its record.
+        writes.clear()
+        renders.clear()
+        daemon.compile_record(source.replace("process ONE0", "process TWO0"), modular=True)
+        assert len(renders) == 1
+        assert writes == ["program"]
 
     def test_store_put_without_disk_store_feeds_memory_only(self):
         record = self._record()

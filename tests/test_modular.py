@@ -138,7 +138,7 @@ def test_second_program_compiles_exactly_the_novel_units():
         assert after_second["unit_misses"] - after_first["unit_misses"] == novel
         assert after_second["unit_hits"] - after_first["unit_hits"] == shared
 
-        # A warm repeat is a linked-result hit: no unit resolution, no link.
+        # A warm repeat is a result-cache hit: no unit resolution, no link.
         service.compile_modular(second)
         warm = service.statistics()
         assert warm["unit_misses"] == after_second["unit_misses"]
@@ -183,57 +183,57 @@ _LINK_SOURCE = generate_fleet(_LINK_SPEC)[0]
 
 
 def test_link_determinism_cold_vs_warm(tmp_path):
-    """A record linked from freshly compiled units equals one rehydrated
-    from the store's linked record in a brand-new service (byte-for-byte).
+    """A record linked from freshly compiled units equals one a brand-new
+    service links from the store's unit records (byte-for-byte).
 
-    The cold compile spills both the three unit records and the composed
-    ``kind: "linked"`` record; the warm service short-circuits on the
-    linked record alone -- it never loads a unit record, which is what
-    makes the linked tier a genuine third level above the unit cache.
+    The cold compile spills the three unit records and nothing else; the
+    warm service loads every unit from disk, compiles none, and links.
     """
     store = CompileStore(tmp_path)
     with CompilationService(store=store) as cold_service:
         cold = cold_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
         assert cold_service.statistics()["unit_misses"] == 3
+    assert len(store) == 3
 
     with CompilationService(store=store) as warm_service:
         warm = warm_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
         stats = warm_service.statistics()
-        assert stats["link_store_hits"] == 1
-        assert stats["unit_store_hits"] == 0
+        assert stats["link_store_hits"] == 0
+        assert stats["unit_store_hits"] == 3
         assert stats["unit_misses"] == 0
-        assert stats["links"] == 0
+        assert stats["links"] == 1
     assert cold == warm
 
 
-def test_relink_from_units_when_linked_tier_disabled(tmp_path):
-    """``max_linked_entries=0`` restores the pre-linked-cache behaviour:
-    every modular request re-links from (store-warmed) unit records."""
-    store = CompileStore(tmp_path)
-    with CompilationService(store=store) as cold_service:
-        cold = cold_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
+def test_link_cache_hits_return_isolated_executables(monkeypatch):
+    """A modular hit behaves like a fresh compile: its own step instance,
+    never the cached result's (mirrors the monolithic hit).  The shared
+    result LRU keeps the two result types apart, and an exact repeat
+    parses nothing."""
+    from repro.compiler import CompilationResult, LinkedCompilationResult
+    from repro.service import service as service_module
 
-    with CompilationService(store=store, max_linked_entries=0) as relink_service:
-        relinked = relink_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
-        relinked_again = relink_service.compile_modular_record(
-            _LINK_SOURCE, build_flat=True
-        )
-        stats = relink_service.statistics()
-        assert stats["link_store_hits"] == 0
-        assert stats["link_hits"] == 0
-        assert stats["unit_store_hits"] == 3
-        assert stats["links"] == 2
-    assert relinked == cold
-    assert relinked_again == cold
-
-
-def test_link_cache_hits_return_isolated_executables():
-    """A linked-cache hit behaves like a fresh compile: its own step
-    instance, never the cached result's (mirrors the monolithic LRU)."""
     with CompilationService() as service:
         first = service.compile_modular(_LINK_SOURCE)
+        assert isinstance(first, LinkedCompilationResult)
+        monolithic = service.compile(_LINK_SOURCE)
+        assert isinstance(monolithic, CompilationResult)
+
+        parses = []
+        real_parse = service_module.parse_process
+        monkeypatch.setattr(
+            service_module,
+            "parse_process",
+            lambda source: parses.append(source) or real_parse(source),
+        )
         second = service.compile_modular(_LINK_SOURCE)
-        assert service.statistics()["link_hits"] == 1
+        assert isinstance(second, LinkedCompilationResult)
+        assert isinstance(service.compile(_LINK_SOURCE), CompilationResult)
+        assert parses == []
+        stats = service.statistics()
+        assert stats["link_hits"] == 1
+        assert stats["links"] == 1
+        assert stats["cache_entries"] == 2
         assert second.executable.step_instance is not first.executable.step_instance
         assert second.executable.source == first.executable.source
 
@@ -241,11 +241,15 @@ def test_link_cache_hits_return_isolated_executables():
 def test_clear_cache_drops_linked_results():
     with CompilationService() as service:
         service.compile_modular(_LINK_SOURCE)
+        service.compile(_LINK_SOURCE)
         service.clear_cache()
+        assert service.statistics()["cache_entries"] == 0
         service.compile_modular(_LINK_SOURCE)
+        service.compile(_LINK_SOURCE)
         stats = service.statistics()
         assert stats["link_hits"] == 0
         assert stats["links"] == 2
+        assert stats["cache_hits"] == 0
 
 
 def test_incremental_link_is_byte_identical_to_ir_emission():
@@ -321,6 +325,29 @@ def test_modular_record_is_whole_program_keyed():
         record = service.compile_modular_record(_LINK_SOURCE)
     assert record["kind"] == "program"
     assert record["fingerprint"] == kernel_of(_LINK_SOURCE).fingerprint()
+
+
+def test_linked_clock_system_has_one_program_header():
+    """The linked clock-system text heads its equations like a monolithic
+    one: one ``clock system of NAME (k equations)`` line with the program
+    name and the summed count, not one canonical ``U`` header per unit."""
+    from repro.programs import benchmark_names, benchmark_source
+
+    member = generate_fleet(
+        FleetSpec(name="FLA", programs=1, library_size=10, units_per_program=6,
+                  shared_units=2, seed=3)
+    )[0]
+    sources = [benchmark_source(name) for name in benchmark_names()] + [member]
+    with CompilationService() as service:
+        assert len(service.compile_modular(member).units) == 6
+        for source in sources:
+            monolithic = service.compile_record(source)["artifacts"]["clocks"]
+            linked = service.compile_modular_record(source)["artifacts"]["clocks"]
+            mono_lines = monolithic.splitlines()
+            linked_lines = linked.splitlines()
+            assert linked_lines[0] == mono_lines[0]
+            assert sorted(linked_lines[1:]) == sorted(mono_lines[1:])
+            assert "clock system of U " not in linked
 
 
 def test_linked_executables_trace_match_monolithic():

@@ -12,13 +12,11 @@ from repro.runtime import ReactiveExecutor, random_oracle
 from repro.compiler import compile_unit_record
 from repro.lang.units import split_units
 from repro.service.store import (
-    LINKED_STYLE,
     STORE_FORMAT,
     UNIT_STYLE,
     CompileStore,
     executable_from_record,
     key_from_record,
-    linked_store_key,
     record_from_result,
     store_key,
     types_from_record,
@@ -371,116 +369,146 @@ class TestRehydration:
 
 
 class TestMixedKindStore:
-    """Program, unit and linked records coexisting in one store directory."""
+    """Program and unit records coexisting in one store directory."""
 
     def _spill_modular(self, tmp_path):
-        """One modular compile spilled to disk: unit records + the linked record.
+        """One modular daemon miss spilled to disk: unit records + one
+        whole-program record.
 
-        Returns ``(store, source, linked_key, unit_keys)``.
+        Returns ``(store, source, program_key, unit_keys)``.
         """
-        from repro import CompilationService
         from repro.programs import FleetSpec, generate_fleet
-        from repro.service.cache import link_fingerprint
+        from repro.service import CompilationDaemon
 
         spec = FleetSpec(
             name="MIX", programs=1, library_size=4, units_per_program=3,
             shared_units=3, seed=11,
         )
         source = generate_fleet(spec)[0]
-        store = CompileStore(tmp_path)
-        with CompilationService(store=store) as service:
-            service.compile_modular(source)
+        CompilationDaemon(store=str(tmp_path)).compile_record(source, modular=True)
         program = normalize(parse_process(source))
-        units = split_units(program)
-        link_fp = link_fingerprint(
-            program.name,
-            [unit.fingerprint() for unit in units],
-            [unit.from_canonical for unit in units],
-            program.inputs,
-            program.outputs,
-            STYLE.value,
-            False,
-            True,
-        )
-        unit_keys = [unit_store_key(unit.fingerprint()) for unit in units]
-        return store, source, linked_store_key(link_fp), unit_keys
+        unit_keys = [unit_store_key(unit.fingerprint()) for unit in split_units(program)]
+        return CompileStore(tmp_path), source, store_key(program.fingerprint(), STYLE), unit_keys
 
-    def test_linked_record_round_trips_and_derives_its_key(self, tmp_path):
-        store, _, linked_key, unit_keys = self._spill_modular(tmp_path)
+    @staticmethod
+    def _stale_linked_entry(store):
+        """A ``kind: "linked"`` record as older releases spilled it (keyed
+        by a link fingerprint under the ``"linked"`` pseudo-style)."""
+        import hashlib
+
+        fingerprint = hashlib.sha256(b"an old link fingerprint").hexdigest()
+        key = (fingerprint, "linked", False, True)
+        record = {
+            "format": STORE_FORMAT, "kind": "linked", "fingerprint": fingerprint,
+            "style": "linked", "build_flat": False, "observable": True,
+        }
+        path = store._entry_path(key)
+        path.write_text(json.dumps(record), encoding="utf-8")
+        return path, record
+
+    def test_modular_spill_is_one_program_record_plus_units(self, tmp_path):
+        store, _, program_key, unit_keys = self._spill_modular(tmp_path)
         assert len(store) == len(unit_keys) + 1
-        record = store.get(linked_key)
-        assert record is not None
-        assert record["kind"] == "linked"
-        assert record["style"] == LINKED_STYLE
-        assert key_from_record(record) == linked_key
+        record = store.get(program_key)
+        assert record is not None and record["kind"] == "program"
+        assert key_from_record(record) == program_key
         assert json.loads(json.dumps(record)) == record
+        for key in unit_keys:
+            assert key_from_record(store.get(key)) == key
 
-    def test_prune_recency_orders_across_kinds(self, tmp_path):
-        """Eviction is pure LRU: kinds grant no seniority.  With the linked
-        record oldest and a unit record next, a two-eviction prune removes
-        exactly those two, leaving the newer unit and program entries."""
+    def test_prune_recency_orders_across_kinds(self, tmp_path, monkeypatch):
+        """Eviction is pure LRU: kinds grant no seniority.  With a stale
+        linked entry oldest and the modular program record next, a
+        two-eviction prune removes exactly those two, leaving the newer
+        unit and program entries.  Nothing ever reads the stale entry."""
         import os
 
-        store, _, linked_key, unit_keys = self._spill_modular(tmp_path)
-        _, prog_record, prog_key = make_record()
-        store.put(prog_key, prog_record)
-        every = [linked_key] + unit_keys + [prog_key]
-        for index, key in enumerate(every):
-            os.utime(store._entry_path(key), (1000 + index, 1000 + index))
-        sizes = {key: store._entry_path(key).stat().st_size for key in every}
-        budget = sum(sizes.values()) - sizes[linked_key] - sizes[unit_keys[0]]
-        report = store.prune(budget)
+        from repro.service import CompilationDaemon
+
+        store, source, program_key, unit_keys = self._spill_modular(tmp_path)
+        stale_path, stale_record = self._stale_linked_entry(store)
+        with pytest.raises(ValueError, match="'program' or 'unit'"):
+            key_from_record(stale_record)
+
+        read_paths = []
+        real_get = CompileStore.get
+
+        def recording_get(self, key):
+            read_paths.append(self._entry_path(key))
+            return real_get(self, key)
+
+        monkeypatch.setattr(CompileStore, "get", recording_get)
+        # A restarted daemon serves the program, modular or not, from its
+        # program record; the stale entry is neither read nor quarantined.
+        restarted = CompilationDaemon(store=str(tmp_path))
+        _, origin = restarted.compile_record(source, modular=True)
+        assert origin == "store"
+        restarted.compile_record(COUNTER_SOURCE, modular=True)
+        assert stale_path not in read_paths
+        assert stale_path.exists()
+        assert restarted.store.invalid == 0
+
+        counter_key = store_key(fingerprint_of(COUNTER_SOURCE), STYLE)
+        keyed = [program_key] + unit_keys + [counter_key]
+        paths = [stale_path] + [store._entry_path(key) for key in keyed]
+        newer = sorted(set(store._entries()) - set(paths))  # COUNTER's unit
+        for index, path in enumerate(paths + newer):
+            os.utime(path, (1000 + index, 1000 + index))
+        total = sum(path.stat().st_size for path in paths + newer)
+        report = store.prune(
+            total - stale_path.stat().st_size - paths[1].stat().st_size
+        )
         assert report["removed"] == 2
-        assert store.get(linked_key) is None
-        assert store.get(unit_keys[0]) is None
-        for key in unit_keys[1:] + [prog_key]:
+        assert not stale_path.exists()
+        assert store.get(program_key) is None
+        for key in unit_keys + [counter_key]:
             assert store.get(key) is not None
 
-    def test_pruned_linked_record_falls_back_to_relink_not_recompile(self, tmp_path):
-        """Losing the linked record costs one link; the surviving unit
+    def test_pruned_program_record_falls_back_to_relink_not_recompile(self, tmp_path):
+        """Losing the program record costs one link; the surviving unit
         records still spare every unit compile."""
         import os
 
-        from repro import CompilationService
+        from repro.service import CompilationDaemon
 
-        store, source, linked_key, unit_keys = self._spill_modular(tmp_path)
-        os.utime(store._entry_path(linked_key), (1000, 1000))  # the oldest
+        store, source, program_key, unit_keys = self._spill_modular(tmp_path)
+        os.utime(store._entry_path(program_key), (1000, 1000))  # the oldest
         total = sum(
             store._entry_path(key).stat().st_size
-            for key in [linked_key] + unit_keys
+            for key in [program_key] + unit_keys
         )
-        linked_size = store._entry_path(linked_key).stat().st_size
-        report = store.prune(total - linked_size)
+        program_size = store._entry_path(program_key).stat().st_size
+        report = store.prune(total - program_size)
         assert report["removed"] == 1
-        assert store.get(linked_key) is None
+        assert store.get(program_key) is None
 
-        with CompilationService(store=store) as service:
-            service.compile_modular(source)
-            stats = service.statistics()
-        assert stats["link_store_hits"] == 0
+        daemon = CompilationDaemon(store=str(tmp_path))
+        _, origin = daemon.compile_record(source, modular=True)
+        stats = daemon.statistics()["service"]
+        assert origin == "compiled"
         assert stats["unit_store_hits"] == len(unit_keys)
         assert stats["unit_misses"] == 0  # re-linked, never re-compiled
         assert stats["links"] == 1
 
-    def test_pruned_unit_record_is_covered_by_the_linked_record(self, tmp_path):
-        """The converse: with the linked record alive, pruned unit records
-        cost nothing -- rehydration never loads them."""
+    def test_pruned_unit_records_are_covered_by_the_program_record(self, tmp_path):
+        """The converse: with the program record alive, pruned unit records
+        cost nothing -- the daemon answers from the program record."""
         import os
 
-        from repro import CompilationService
+        from repro.service import CompilationDaemon
 
-        store, source, linked_key, unit_keys = self._spill_modular(tmp_path)
+        store, source, program_key, unit_keys = self._spill_modular(tmp_path)
         for key in unit_keys:
             os.utime(store._entry_path(key), (1000, 1000))
-        linked_size = store._entry_path(linked_key).stat().st_size
-        report = store.prune(linked_size)
+        program_size = store._entry_path(program_key).stat().st_size
+        report = store.prune(program_size)
         assert report["removed"] == len(unit_keys)
-        assert store.get(linked_key) is not None
+        assert store.get(program_key) is not None
 
-        with CompilationService(store=store) as service:
-            service.compile_modular(source)
-            stats = service.statistics()
-        assert stats["link_store_hits"] == 1
+        daemon = CompilationDaemon(store=str(tmp_path))
+        _, origin = daemon.compile_record(source, modular=True)
+        stats = daemon.statistics()["service"]
+        assert origin == "store"
         assert stats["unit_store_hits"] == 0
         assert stats["unit_misses"] == 0
         assert stats["links"] == 0
