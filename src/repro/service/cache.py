@@ -79,9 +79,8 @@ class CacheStats:
 class LRUCache(Generic[T]):
     """A bounded mapping with least-recently-used eviction.
 
-    All operations take the internal lock, so the service and the daemon
-    can share one cache across request threads without extra
-    synchronization.
+    All operations take the internal lock, so the service's request
+    threads can share one cache without extra synchronization.
     """
 
     def __init__(

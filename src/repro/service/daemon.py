@@ -10,22 +10,19 @@ cold cache.
 Caching tiers
 -------------
 
-A ``compile`` request is answered from the first of three tiers:
-
-1. **memory** -- an LRU of rendered *artifact records* keyed exactly like
-   the service's compile cache (kernel fingerprint + options), with a
-   source-digest fast path that skips parsing on exact textual repeats;
-2. **store** -- the optional on-disk :class:`~repro.service.store.CompileStore`;
-   a hit is promoted into tier 1, so a *restarted* daemon re-warms its
-   memory cache from disk as traffic arrives;
-3. **compile** -- the wrapped :class:`CompilationService` runs the full
-   pipeline on the pooled manager (or, for ``modular`` requests, compiles
-   the novel units and links); the rendered record is written back to
-   tiers 1 and 2.
-
-Every tier is keyed by the whole-program fingerprint, so a modular miss
-renders one record and writes one ``kind: "program"`` entry, plus a
-``kind: "unit"`` entry per unit it had to compile.
+The daemon keeps no cache of its own: a ``compile`` request is one call to
+the wrapped service's whole-program record path
+(:meth:`CompilationService.record_for`), which answers from **memory** (the
+service's result LRU, whose entries memoize their rendered *artifact
+records*, behind its source-digest memo), then the **store** (the daemon's
+store *is* its service's; a hit is promoted into memory, so a *restarted*
+daemon re-warms from disk as traffic arrives), then a **compile** whose
+record is kept in memory and spilled to the store.  Every tier is keyed by
+the whole-program fingerprint, so a monolithic record answers a modular
+request for the same program and vice versa, and a modular miss writes one
+``kind: "program"`` entry plus a ``kind: "unit"`` entry per unit it had to
+compile.  ``store-get``/``store-put`` read and write the same tiers, unit
+records included.
 
 Protocol
 --------
@@ -95,16 +92,11 @@ from ..errors import (
     SimulationError,
     TypeError_,
 )
-from ..lang.kernel import normalize
-from ..lang.parser import parse_process
 from ..runtime import ReactiveExecutor, random_oracle, timing_diagram
-from .cache import LRUCache, source_digest
 from .service import CompilationService
 from .store import (
     CompileStore,
     executable_from_record,
-    key_from_record,
-    record_from_result,
     store_key,
     unit_store_key,
     types_from_record,
@@ -194,12 +186,11 @@ class CompilationDaemon:
             raise ValueError(f"workers must be one of {WORKER_MODES} (got {workers!r})")
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if store is not None and not isinstance(store, CompileStore):
-            store = CompileStore(store)
-        self.store: Optional[CompileStore] = store
-        # A self-created service shares the daemon's store, so its process
-        # workers warm-start from disk too (an injected service keeps
-        # whatever store its owner configured).
+        if service is not None and store is not None:
+            raise ValueError(
+                "store= configures the daemon's own service; "
+                "give an injected service its store instead"
+            )
         self.service = service if service is not None else CompilationService(
             max_entries=max_entries, max_pool_nodes=max_pool_nodes, store=store,
         )
@@ -207,16 +198,12 @@ class CompilationDaemon:
         self._jobs = jobs
         self._store_max_bytes = store_max_bytes
         self.drain_timeout = drain_timeout
-        self._records: LRUCache[Dict[str, object]] = LRUCache(max_entries)
-        self._digests: LRUCache[str] = LRUCache(max(max_entries * 4, 16))
         self._lock = threading.RLock()
         self._requests = 0
         self._compile_requests = 0
-        self._memory_hits = 0
-        self._store_hits = 0
-        self._compiles = 0
+        #: compile requests answered per origin tier
+        self._origins = {"memory": 0, "store": 0, "compiled": 0}
         self._errors = 0
-        self._store_put_failures = 0
         self._store_pruned_entries = 0
         # Request log (opened lazily; "-" = stdout, streams used as-is).
         self._request_log_target = request_log
@@ -232,6 +219,11 @@ class CompilationDaemon:
         self._idle: Optional[asyncio.Event] = None
         self.address: Optional[Union[str, Tuple[str, int]]] = None
 
+    @property
+    def store(self) -> Optional[CompileStore]:
+        """The disk store: the service's, under its whole-program record path."""
+        return self.service.store
+
     # -- engine --------------------------------------------------------------
     def compile_record(
         self,
@@ -244,112 +236,27 @@ class CompilationDaemon:
         """Compile (or fetch) the artifact record for one source.
 
         Returns ``(record, origin)`` where origin is ``"memory"``,
-        ``"store"`` or ``"compiled"``.
-
-        ``modular`` changes only how a *miss* compiles: unit-by-unit
-        against the service's unit cache and the daemon's store (which
-        gains per-unit records any fleet member can ``store-get``).  The
-        record tiers stay keyed by the whole-program fingerprint -- a
-        monolithic record answers a modular request for the same program
-        and vice versa, because both paths render equivalent artifacts.
-
-        Thread-safe without a daemon-wide lock: the record/digest LRUs and
-        the store synchronize themselves, so ``jobs`` request threads probe
-        the tiers concurrently; misses compile on worker processes or
-        serialize on the service's compile lock.  Two threads
-        racing on the *same* key may both compile and both publish --
-        wasteful but harmless, because compilation is deterministic and
-        every tier is last-writer-wins.
+        ``"store"`` or ``"compiled"``: a thin call onto the service's
+        record path (:meth:`CompilationService.record_for`), which is
+        thread-safe, so ``jobs`` request threads probe the tiers
+        concurrently.  With ``workers="processes"`` a miss compiles on the
+        service's worker-process pool.
         """
         with self._lock:
             self._compile_requests += 1
-        digest = source_digest(source)
-        # The digest memo lets repeat traffic reach the record tiers
-        # without parsing; it must live here (not only in the service)
-        # because a memory/store hit never enters the service at all.
-        fingerprint = self._digests.get(digest)
-        process = None
-        program = None
-        if fingerprint is None:
-            process = parse_process(source)
-            program = normalize(process)
-            fingerprint = program.fingerprint()
-            self._digests.put(digest, fingerprint)
-        key = store_key(fingerprint, style, build_flat, observable)
-
-        record = self._records.get(key)
-        if record is not None:
-            with self._lock:
-                self._memory_hits += 1
-            if self.store is not None:
-                # Keep the disk entry's recency honest: without this, hot
-                # records served from memory would look cold to prune().
-                self.store.touch(key)
-            return record, "memory"
-
-        if self.store is not None:
-            record = self.store.get(key)
-            if record is not None:
-                with self._lock:
-                    self._store_hits += 1
-                self._records.put(key, record)
-                return record, "store"
-
-        if self._workers == "processes":
-            # Park this request thread on a worker process: the pipeline
-            # runs on another core, and sibling request threads do the same.
-            record = self.service.compile_record_in_process(
-                source,
-                style=style,
-                build_flat=build_flat,
-                observable=observable,
-                jobs=self._jobs,
-                modular=modular,
-            )
-        elif modular:
-            if process is None:
-                process = parse_process(source)
-                program = normalize(process)
-            linked = self.service.compile_modular(
-                process=process,
-                style=style,
-                build_flat=build_flat,
-                observable=observable,
-                program=program,
-                store=self.store,  # None falls back to the service's own
-            )
-            record = record_from_result(
-                linked, style, build_flat=build_flat, observable=observable
-            )
-        else:
-            if process is None:
-                process = parse_process(source)
-                program = normalize(process)
-            result = self.service.compile_process(
-                process,
-                style=style,
-                build_flat=build_flat,
-                observable=observable,
-                program=program,  # already normalized above; don't redo it
-            )
-            record = record_from_result(
-                result, style, build_flat=build_flat, observable=observable
-            )
-        self._records.put(key, record)
-        if self.store is not None:
-            # Best-effort spill: the compile succeeded and the record is
-            # served from memory either way; a full disk must not turn a
-            # good compilation into an error response.
-            try:
-                self.store.put(key, record)
-            except OSError:
-                with self._lock:
-                    self._store_put_failures += 1
-            else:
-                self._enforce_store_budget()
+        record, origin = self.service.record_for(
+            source,
+            style=style,
+            build_flat=build_flat,
+            observable=observable,
+            modular=modular,
+            jobs=self._jobs if self._workers == "processes" else 0,
+        )
         with self._lock:
-            self._compiles += 1
-        return record, "compiled"
+            self._origins[origin] += 1
+        if origin == "compiled":
+            self._enforce_store_budget()
+        return record, origin
 
     def _enforce_store_budget(self) -> None:
         """Apply the ``--store-max-bytes`` policy after a successful spill."""
@@ -364,7 +271,15 @@ class CompilationDaemon:
                 self._store_pruned_entries += report["removed"]
 
     def statistics(self) -> Dict[str, object]:
-        """The three-tier cache counters plus the wrapped layers' stats."""
+        """The daemon's request counters plus the wrapped layers' stats.
+
+        ``memory_hits``, ``store_hits`` and ``compiles`` count this
+        daemon's compile requests by the origin tier the service's record
+        path answered from.  ``record_entries`` is the number of entries in
+        the service's whole-program LRU (each answers record requests),
+        ``store_put_failures`` the service's refused spills.
+        """
+        service = self.service.statistics()
         with self._lock:
             daemon = {
                 "protocol": PROTOCOL_VERSION,
@@ -372,28 +287,25 @@ class CompilationDaemon:
                 "jobs": self._jobs,
                 "requests": self._requests,
                 "compile_requests": self._compile_requests,
-                "memory_hits": self._memory_hits,
-                "store_hits": self._store_hits,
-                "compiles": self._compiles,
+                "memory_hits": self._origins["memory"],
+                "store_hits": self._origins["store"],
+                "compiles": self._origins["compiled"],
                 "errors": self._errors,
-                "store_put_failures": self._store_put_failures,
+                "store_put_failures": service["store_put_failures"],
                 "store_max_bytes": self._store_max_bytes or 0,
                 "store_pruned_entries": self._store_pruned_entries,
-                "record_entries": len(self._records),
+                "record_entries": service["cache_entries"],
             }
         return {
             "daemon": daemon,
-            "service": self.service.statistics(),
+            "service": service,
             "store": self.store.statistics() if self.store is not None else None,
         }
 
     def clear_caches(self, include_store: bool = False) -> None:
-        with self._lock:
-            self._records.clear()
-            self._digests.clear()
-            self.service.clear_cache()
-            if include_store and self.store is not None:
-                self.store.clear()
+        self.service.clear_cache()
+        if include_store and self.store is not None:
+            self.store.clear()
 
     # -- request logging -----------------------------------------------------
     def _log_stream(self) -> Optional[IO[str]]:
@@ -557,18 +469,12 @@ class CompilationDaemon:
     def _handle_store_get(self, request: Dict[str, object]) -> Dict[str, object]:
         """The ``store-get`` op: read the artifact tier without compiling.
 
-        Probes memory then disk (promoting a disk hit into memory, like a
-        compile would).  A miss is a successful response with
+        Probes the service's memory (the whole-program LRU, or the unit LRU
+        for ``kind: "unit"``) then disk, promoting a disk hit into memory
+        like a compile would.  A miss is a successful response with
         ``found: false`` -- the caller decides whether to compile.
         """
-        key = self._store_request_key(request)
-        record = self._records.get(key)
-        origin = "memory"
-        if record is None and self.store is not None:
-            record = self.store.get(key)
-            if record is not None:
-                origin = "store"
-                self._records.put(key, record)
+        record, origin = self.service.stored_record(self._store_request_key(request))
         if record is None:
             return {"ok": True, "op": "store-get", "found": False}
         return {"ok": True, "op": "store-get", "found": True, "origin": origin,
@@ -579,26 +485,17 @@ class CompilationDaemon:
 
         The record self-describes its key (fingerprint + options), so a
         node that compiled elsewhere -- another daemon, a batch run -- can
-        warm this one.  The memory tier always takes the record; the disk
-        write is best-effort like a compile's spill.  ``stored`` reports
-        whether the record reached disk.
+        warm this one.  The service's memory always takes the record (a
+        unit record joins its unit LRU); the disk write is best-effort like
+        a compile's spill.  ``stored`` reports whether the record reached
+        disk.
         """
-        record = request.get("record")
         try:
-            key = key_from_record(record)
+            stored = self.service.put_record(request.get("record"))
         except ValueError as error:
             raise _RequestError(f"field 'record' is not a valid artifact record: {error}")
-        self._records.put(key, record)
-        stored = False
-        if self.store is not None:
-            try:
-                self.store.put(key, record)
-            except OSError:
-                with self._lock:
-                    self._store_put_failures += 1
-            else:
-                stored = True
-                self._enforce_store_budget()
+        if stored:
+            self._enforce_store_budget()
         return {"ok": True, "op": "store-put", "stored": stored}
 
     def _handle_prune(self, request: Dict[str, object]) -> Dict[str, object]:

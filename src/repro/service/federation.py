@@ -12,9 +12,10 @@ Routing
 
 Requests are routed by **consistent hashing of the kernel fingerprint** --
 the same identity that keys every cache tier.  The gateway parses and
-normalizes the source (memoizing digest -> fingerprint exactly like the
-daemon does), hashes the fingerprint onto a ring of virtual nodes
-(:class:`HashRing`), and forwards the raw request to the owning backend.
+normalizes the source (through its own service's source-digest memo, so
+repeat traffic routes without parsing), hashes the fingerprint onto a ring
+of virtual nodes (:class:`HashRing`), and forwards the raw request to the
+owning backend.
 Two properties follow:
 
 * the *same* program always lands on the *same* backend, so each backend's
@@ -61,9 +62,6 @@ import threading
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..lang.kernel import normalize
-from ..lang.parser import parse_process
-from .cache import source_digest
 from .client import RemoteCompiler, RemoteError
 from .daemon import CompilationDaemon, _RequestError, _error_response
 
@@ -374,20 +372,6 @@ class CompileGateway(CompilationDaemon):
                 pass
 
     # -- routing -------------------------------------------------------------
-    def _fingerprint_for(self, source: str) -> str:
-        """The routing key: digest-memoized kernel fingerprint.
-
-        Parsing locally means garbage requests are rejected at the edge
-        (via the inherited error ladder) without bothering any backend, and
-        the memo makes repeat traffic route without parsing at all.
-        """
-        digest = source_digest(source)
-        fingerprint = self._digests.get(digest)
-        if fingerprint is None:
-            fingerprint = normalize(parse_process(source)).fingerprint()
-            self._digests.put(digest, fingerprint)
-        return fingerprint
-
     def _candidates(self, fingerprint: str) -> List[BackendState]:
         """Backends to try, in order: healthy by ring preference, then
         unhealthy ones whose recheck interval has elapsed (a recovered
@@ -411,7 +395,11 @@ class CompileGateway(CompilationDaemon):
         source = request.get("source")
         if not isinstance(source, str) or not source.strip():
             raise _RequestError("field 'source' must be a non-empty string")
-        fingerprint = self._fingerprint_for(source)  # SignalError -> answered locally
+        # The routing key.  Parsing locally rejects garbage at the edge (a
+        # SignalError is answered by the inherited error ladder) without
+        # bothering any backend; the service's digest memo makes repeat
+        # traffic route without parsing at all.
+        fingerprint = self.service.fingerprint(source)
         candidates = self._candidates(fingerprint)
         if self._max_attempts is not None:
             candidates = candidates[: self._max_attempts]

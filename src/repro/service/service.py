@@ -30,6 +30,21 @@ behaves exactly like a fresh compilation and callers' simulation states are
 fully isolated; the analysis artifacts (hierarchy, schedule, sources) are
 shared.
 
+The record path
+---------------
+
+:meth:`CompilationService.record_for` is the one whole-program path for
+JSON artifact records (the daemon, ``compile_record``,
+``compile_modular_record``, process workers and the store ops all use it).
+An LRU entry holds what has been built for its key: the live result of a
+compile miss and its record, rendered once on first use; or a record alone
+(a store hit, a worker's record, a ``store-put``), which a later live
+:meth:`~CompilationService.compile` fills in.  A record request is answered
+from **memory** (the key's entry, or the same program's entry of the other
+kind -- monolithic and modular records are equivalent), then the disk
+**store** (promoted into memory), then a **compile** that is spilled back
+to the store best-effort.
+
 Compilation holds the GIL, so in-process compiles gain nothing from running
 concurrently: one compile lock serializes every genuine compilation on the
 pool (cache hits never take it), and only worker processes compile in
@@ -87,11 +102,12 @@ worker's manager), so process workers return the JSON-safe **artifact
 records** of :func:`repro.service.store.record_from_result` -- rendered
 sources, the clock tree, statistics, and enough metadata to rebuild a
 runnable step via :func:`repro.service.store.executable_from_record`.  Each
-worker process keeps its own small ``CompilationService``, so repeats
-within one worker are warm; the pool is created lazily, reused across
-batches, grown when a larger ``jobs`` arrives, and torn down by
-:meth:`close` (closing is safe -- the next process-mode call simply builds
-a fresh pool).
+worker process keeps its own small ``CompilationService`` on the parent's
+disk store and answers through its record path, so repeats within one
+worker are warm and every worker shares the store; the pool is created
+lazily, reused across batches, grown when a larger ``jobs`` arrives, and
+torn down by :meth:`close` (closing is safe -- the next process-mode call
+simply builds a fresh pool).
 """
 
 from __future__ import annotations
@@ -117,12 +133,34 @@ from ..lang.kernel import KernelProgram, normalize
 from ..lang.parser import parse_process
 from ..lang.units import split_units
 from .cache import LRUCache, source_digest
-from .store import CompileStore, record_from_result, store_key, unit_store_key
+from .store import (
+    UNIT_STYLE,
+    CompileStore,
+    StoreKey,
+    key_from_record,
+    record_from_result,
+    store_key,
+    unit_store_key,
+)
 
 __all__ = ["CompilationService"]
 
 #: cache key: (kernel fingerprint, style, build_flat, observable, modular)
 _CacheKey = Tuple[str, GenerationStyle, bool, bool, bool]
+
+#: what a record lookup answers: ``(record, origin)``, or ``(None, None)``
+_Held = Tuple[Optional[Dict[str, object]], Optional[str]]
+
+
+class _Entry:
+    """One whole-program LRU entry: a live result, its record, or both."""
+
+    __slots__ = ("result", "record")
+
+    def __init__(self) -> None:
+        self.result: Optional[Union[CompilationResult, LinkedCompilationResult]] = None
+        self.record: Optional[Dict[str, object]] = None
+
 
 #: scope-namespace prefix for per-unit compilations; unit fingerprints are
 #: hex digests, so the prefix keeps them disjoint from whole-program
@@ -131,75 +169,38 @@ _UNIT_SCOPE_PREFIX = "unit:"
 
 
 # -- process-pool worker side -------------------------------------------------
-#: per-worker-process compilation service (warm caches within one worker)
-_WORKER_SERVICE: Optional["CompilationService"] = None
-
-#: per-worker-process handles on parent disk stores, keyed by directory
-_WORKER_STORES: Dict[str, CompileStore] = {}
+#: per-worker-process compilation services, one per parent store directory
+#: (``None`` for a parent without a store); warm caches within one worker
+_WORKER_SERVICES: Dict[Optional[str], "CompilationService"] = {}
 
 
-def _worker_store(path: Optional[str]) -> Optional[CompileStore]:
-    store = _WORKER_STORES.get(path) if path is not None else None
-    if path is not None and store is None:
-        store = _WORKER_STORES[path] = CompileStore(path)
-    return store
+def _worker_service(store_path: Optional[str]) -> "CompilationService":
+    service = _WORKER_SERVICES.get(store_path)
+    if service is None:
+        service = _WORKER_SERVICES[store_path] = CompilationService(
+            max_entries=64, store=store_path
+        )
+    return service
 
 
 def _process_worker_record(
     payload: Tuple[str, str, bool, bool, Optional[str], bool]
 ) -> Dict[str, object]:
-    """Compile one source in a worker process; return its artifact record.
+    """Produce one source's artifact record in a worker process.
 
-    Runs in the pool's child processes.  The worker keeps a small private
-    ``CompilationService`` alive between tasks so repeated sources within
-    one worker hit a warm cache; the record that crosses back to the parent
-    is plain JSON (see the module docstring).  Toolchain errors propagate
-    to the parent as the original ``SignalError`` subclass.
-
-    When the parent configured a disk :class:`CompileStore`, the worker
-    layers it under its private cache: the key is probed *before* the
-    pipeline runs (so a record any daemon/node spilled earlier is a warm
-    start here), and a genuine compile is spilled back (best-effort) so it
-    warms every process and node sharing the directory.
+    Runs in the pool's child processes, on the record path of a private
+    service that keeps its caches between tasks and shares the parent's
+    disk store: a record any daemon or node spilled earlier is a warm
+    start here, and a genuine compile is spilled back so it warms every
+    process and node sharing the directory.  The record that crosses back
+    to the parent is plain JSON (see the module docstring).  Toolchain
+    errors propagate to the parent as the original ``SignalError``
+    subclass.
     """
-    global _WORKER_SERVICE
-    if _WORKER_SERVICE is None:
-        _WORKER_SERVICE = CompilationService(max_entries=64)
     source, style_value, build_flat, observable, store_path, modular = payload
-    style = GenerationStyle(style_value)
-    store = _worker_store(store_path)
-    if modular:
-        # Modular compiles share at unit granularity: the worker's private
-        # unit LRU plus the parent's disk store (probed and written back
-        # per unit inside compile_modular) replace the whole-program probe.
-        return _WORKER_SERVICE.compile_modular_record(
-            source, style=style, build_flat=build_flat, observable=observable,
-            store=store,
-        )
-    if store is None:
-        result = _WORKER_SERVICE.compile(
-            source, style=style, build_flat=build_flat, observable=observable
-        )
-        return record_from_result(
-            result, style, build_flat=build_flat, observable=observable
-        )
-    process = parse_process(source)
-    program = normalize(process)
-    key = store_key(program.fingerprint(), style, build_flat, observable)
-    record = store.get(key)
-    if record is not None:
-        return record
-    result = _WORKER_SERVICE.compile_process(
-        process, style=style, build_flat=build_flat, observable=observable,
-        program=program,
+    record, _ = _worker_service(store_path).record_for(
+        source, GenerationStyle(style_value), build_flat, observable, modular=modular
     )
-    record = record_from_result(
-        result, style, build_flat=build_flat, observable=observable
-    )
-    try:
-        store.put(key, record)
-    except OSError:
-        pass  # a full disk must not fail a successful compile
     return record
 
 
@@ -216,15 +217,11 @@ def _process_worker_unit_record(
     one unit at worst duplicate a compile, never diverge (unit compilation
     is deterministic).
     """
-    global _WORKER_SERVICE
-    if _WORKER_SERVICE is None:
-        _WORKER_SERVICE = CompilationService(max_entries=64)
     source, unit_fingerprint, store_path = payload
-    store = _worker_store(store_path)
     program = normalize(parse_process(source))
     for unit in split_units(program):
         if unit.fingerprint() == unit_fingerprint:
-            return _WORKER_SERVICE._unit_record_for(unit, store)
+            return _worker_service(store_path)._unit_record_for(unit)
     raise ValueError(
         f"batch bookkeeping error: source contains no unit {unit_fingerprint}"
     )
@@ -248,12 +245,12 @@ class CompilationService:
         disables recycling.
     store:
         Optionally, a disk :class:`~repro.service.store.CompileStore` (or
-        its directory path) that **process workers** layer under their
-        private caches: workers probe it before compiling and spill genuine
-        compiles back, so cross-process batches warm-start from (and warm)
-        every daemon/node sharing the directory.  The in-process compile
-        path does not consult it -- the daemon layers the store above the
-        service, exactly as before.
+        its directory path) under the whole-program record path and the
+        unit cache: record requests and unit resolution probe it before
+        compiling and spill genuine compiles back, and process workers
+        share it, so every service, daemon and node on the directory warms
+        every other.  Live :meth:`compile` results cannot come from a
+        record, so the live paths never read whole-program records from it.
 
     The service is thread-safe: cache hits proceed concurrently, genuine
     compilations serialize on the pool's compile lock.
@@ -276,13 +273,15 @@ class CompilationService:
         self.max_pool_nodes = max_pool_nodes
         if store is not None and not isinstance(store, CompileStore):
             store = CompileStore(store)
-        #: disk store process workers layer under their caches (may be None)
+        #: disk store under the record path and the unit cache (may be None)
         self.store: Optional[CompileStore] = store
         self._store_path = str(store.path) if store is not None else None
-        # Whole results, monolithic and linked, keyed by ``_key``.
-        self._results: LRUCache[
-            Union[CompilationResult, LinkedCompilationResult]
-        ] = LRUCache(max_entries, on_evict=self._on_result_evicted)
+        self._store_put_failures = 0
+        # The one whole-program memory tier: results and records, monolithic
+        # and linked, keyed by ``_key``.
+        self._results: LRUCache[_Entry] = LRUCache(
+            max_entries, on_evict=self._on_result_evicted
+        )
         # Per-unit artifact records (modular compilation), keyed by unit
         # fingerprint.  Units are small next to whole results, and one
         # program holds several, so the default capacity is a multiple of
@@ -311,6 +310,7 @@ class CompilationService:
         self._links = 0
         self._link_hits = 0
         self._link_misses = 0
+        self._link_store_hits = 0
 
     @property
     def manager(self) -> BDDManager:
@@ -362,12 +362,14 @@ class CompilationService:
         traffic.  (Nodes already interned in the manager's unique table are
         not reclaimed -- recycling the table is what the watermark is for.)
         Linked entries never hold the program scope: their BDDs live in
-        per-unit scopes, which follow the unit LRU.
+        per-unit scopes, which follow the unit LRU; nor do record-only
+        entries.
         """
-        if any(
-            key[0] == fingerprint and not key[4] for key in self._results.keys()
-        ):
-            return  # another style/options entry still uses this program
+        for key in self._results.keys():
+            if key[0] == fingerprint and not key[4]:
+                entry = self._results.peek(key)
+                if entry is not None and entry.result is not None:
+                    return  # another style/options entry still uses this program
         self._drop_scopes(fingerprint)
 
     def _on_result_evicted(self, key, value) -> None:
@@ -408,64 +410,65 @@ class CompilationService:
             program=program,
         )
 
-    def _compile_cached(
-        self,
-        source: Optional[str],
-        process: Optional[Process],
-        style: GenerationStyle,
-        build_flat: bool,
-        observable: bool,
-        program: Optional[KernelProgram] = None,
-        modular: bool = False,
-        store: Optional[CompileStore] = None,
-    ) -> Union[CompilationResult, LinkedCompilationResult]:
-        """The shared miss/hit pipeline behind every compile entry point.
-
-        ``modular`` selects the miss path (per-unit compiles plus a link,
-        see :meth:`_link`) and the key's last field, so one program's
-        monolithic and linked results are cached side by side.  Hits never
-        take the compile lock, so fully-warm traffic never waits behind a
-        compilation.
-        """
+    def _count_request(self, modular: bool) -> None:
         with self._lock:
             self._requests += 1
             if modular:
                 self._modular_requests += 1
 
-        digest = None
-        counted_miss = False
-        if source is not None:
-            digest = source_digest(source)
-            fingerprint = self._source_fingerprints.get(digest)
-            if fingerprint is not None:
-                cached = self._results.get(
-                    self._key(fingerprint, style, build_flat, observable, modular)
-                )
-                if cached is not None:
-                    return self._fresh_hit(cached, modular)
-                counted_miss = True
-                # Known program, options not cached yet: reparse below (the
-                # kernel form is needed by the pipeline anyway).
+    def _fingerprint(
+        self,
+        source: Optional[str],
+        process: Optional[Process],
+        program: Optional[KernelProgram],
+    ) -> Tuple[str, Optional[Process], Optional[KernelProgram]]:
+        """A request's kernel fingerprint, plus what it took to compute it.
 
+        An exact textual repeat is answered by the source-digest memo
+        without parsing; otherwise the parsed ``process``/``program`` are
+        handed back so a miss does not redo the work.
+        """
+        digest = source_digest(source) if source is not None else None
+        fingerprint = (
+            self._source_fingerprints.get(digest) if digest is not None else None
+        )
+        if fingerprint is None:
+            if process is None:
+                process = parse_process(source)
+            if program is None:
+                program = normalize(process)
+            fingerprint = program.fingerprint()
+            if digest is not None:
+                self._source_fingerprints.put(digest, fingerprint)
+        return fingerprint, process, program
+
+    def fingerprint(self, source: str) -> str:
+        """The kernel fingerprint of source text (parses on a memo miss only)."""
+        return self._fingerprint(source, None, None)[0]
+
+    def _fill(self, key: _CacheKey, **slots) -> None:
+        """Put ``result=`` and/or ``record=`` into ``key``'s entry."""
+        with self._lock:  # two fills of one new key must not drop a slot
+            entry = self._results.peek(key) or _Entry()
+            for name, value in slots.items():
+                setattr(entry, name, value)
+            self._results.put(key, entry)
+
+    def _build(
+        self,
+        key: _CacheKey,
+        source: Optional[str],
+        process: Optional[Process],
+        program: Optional[KernelProgram],
+    ) -> Union[CompilationResult, LinkedCompilationResult]:
+        """The in-process miss: link (``modular`` key) or compile, then fill."""
         if process is None:
-            assert source is not None
             process = parse_process(source)
         if program is None:
             program = normalize(process)
-        fingerprint = program.fingerprint()
-        if digest is not None:
-            self._source_fingerprints.put(digest, fingerprint)
-
-        key = self._key(fingerprint, style, build_flat, observable, modular)
-        # The fast path above already charged this request with a miss; avoid
-        # double counting while still honouring a concurrent request that may
-        # have filled the entry in the meantime.
-        cached = self._results.peek(key) if counted_miss else self._results.get(key)
-        if cached is not None:
-            return self._fresh_hit(cached, modular)
-
+        fingerprint, style, build_flat, observable, modular = key
         if modular:
-            result = self._link(process, program, style, build_flat, observable, store)
+            result = self._link(process, program, style, build_flat, observable)
         else:
             try:
                 with self._compile_lock:
@@ -480,9 +483,35 @@ class CompilationService:
                 # otherwise leak its scope in a long-lived daemon.
                 self._release_orphan_scopes(fingerprint)
                 raise
-        self._results.put(key, result)
+        self._fill(key, result=result)
         self._maybe_recycle()
         return result
+
+    def _compile_cached(
+        self,
+        source: Optional[str],
+        process: Optional[Process],
+        style: GenerationStyle,
+        build_flat: bool,
+        observable: bool,
+        program: Optional[KernelProgram] = None,
+        modular: bool = False,
+    ) -> Union[CompilationResult, LinkedCompilationResult]:
+        """The live hit/miss pipeline behind every compile entry point.
+
+        ``modular`` selects the miss path and the key's last field, so one
+        program's monolithic and linked results are cached side by side.
+        Hits never take the compile lock, so fully-warm traffic never waits
+        behind a compilation; an entry holding only a record is compiled
+        and filled in.
+        """
+        self._count_request(modular)
+        fingerprint, process, program = self._fingerprint(source, process, program)
+        key = self._key(fingerprint, style, build_flat, observable, modular)
+        entry = self._results.get(key)
+        if entry is not None and entry.result is not None:
+            return self._fresh_hit(entry.result, modular)
+        return self._build(key, source, process, program)
 
     def _fresh_hit(self, result, modular: bool):
         """Restore fresh-compile semantics on a cache hit.
@@ -532,8 +561,8 @@ class CompilationService:
         """Like :meth:`compile` for an already-parsed process.
 
         ``program`` optionally supplies the already-normalized kernel form
-        of ``process`` (callers like the daemon normalize first to compute
-        the cache key; passing it through avoids normalizing twice).
+        of ``process`` (callers like the distributed runtime already hold
+        it; passing it through avoids normalizing twice).
         """
         return self._compile_cached(
             None, process, style, build_flat, observable, program=program
@@ -546,21 +575,131 @@ class CompilationService:
         build_flat: bool = False,
         observable: bool = True,
     ) -> Dict[str, object]:
-        """Compile in-process and render the JSON-safe artifact record.
+        """The JSON-safe artifact record of a source, through :meth:`record_for`.
 
         The inline counterpart of :meth:`compile_record_in_process`: same
-        output shape, produced on the caller's thread through the normal
-        pooled/cached path.
+        output shape, produced on the caller's thread.
         """
-        result = self.compile(
-            source, style=style, build_flat=build_flat, observable=observable
-        )
-        return record_from_result(
-            result, style, build_flat=build_flat, observable=observable
-        )
+        return self.record_for(source, style, build_flat, observable)[0]
+
+    # -- the whole-program record path ---------------------------------------
+    def record_for(
+        self,
+        source: str,
+        style: GenerationStyle = GenerationStyle.HIERARCHICAL,
+        build_flat: bool = False,
+        observable: bool = True,
+        modular: bool = False,
+        jobs: int = 0,
+    ) -> Tuple[Dict[str, object], str]:
+        """``(record, origin)`` for one source; origin ``"memory"``,
+        ``"store"`` or ``"compiled"`` (see "The record path" above).
+
+        ``modular`` changes only how a miss compiles.  ``jobs > 0`` ships a
+        miss to a worker process, whose own record path probes and spills
+        the store.  Thread-safe: threads racing on one key may both compile
+        -- wasteful but harmless, as compilation is deterministic and every
+        tier is last-writer-wins.
+        """
+        self._count_request(modular)
+        fingerprint, process, program = self._fingerprint(source, None, None)
+        key = self._key(fingerprint, style, build_flat, observable, modular)
+        record, origin = self._held_record(key, self._results.get(key))
+        if record is None:
+            origin = "compiled"
+            if jobs > 0:
+                record = self.compile_record_in_process(
+                    source, style, build_flat, observable, jobs, modular
+                )
+                self._fill(key, record=record)
+            else:
+                result = self._build(key, source, process, program)
+                record = record_from_result(
+                    result, style, build_flat=build_flat, observable=observable
+                )
+                self._fill(key, record=record)
+                self._spill(store_key(*key[:4]), record)
+        elif modular:
+            with self._lock:
+                if origin == "memory":
+                    self._link_hits += 1
+                else:
+                    self._link_store_hits += 1
+        return record, origin
+
+    def _held_record(self, key: _CacheKey, entry: Optional[_Entry]) -> _Held:
+        """The record memory (``entry``, else the other kind's) or the store
+        holds for ``key``.  A memory hit touches the store entry, so a hot
+        record never looks cold to :meth:`CompileStore.prune`."""
+        if entry is None:
+            entry = self._results.peek(key[:4] + (not key[4],))
+        disk_key = store_key(*key[:4])
+        if entry is not None:
+            if entry.record is None:
+                entry.record = record_from_result(
+                    entry.result, key[1], build_flat=key[2], observable=key[3]
+                )
+            if self.store is not None:
+                self.store.touch(disk_key)
+            return entry.record, "memory"
+        if self.store is not None:
+            record = self.store.get(disk_key)
+            if record is not None:
+                self._fill(key, record=record)
+                return record, "store"
+        return None, None
+
+    def _held_unit_record(self, fingerprint: str) -> _Held:
+        """The record the unit LRU or the store holds for one unit."""
+        record = self._unit_records.get(fingerprint)
+        if record is not None:
+            return record, "memory"
+        if self.store is not None:
+            record = self.store.get(unit_store_key(fingerprint))
+            if record is not None:
+                self._unit_records.put(fingerprint, record)
+                return record, "store"
+        return None, None
+
+    def _spill(self, key: StoreKey, record: Dict[str, object]) -> bool:
+        """Best-effort write (a full disk must not fail a good compile)."""
+        if self.store is None:
+            return False
+        try:
+            self.store.put(key, record)
+        except OSError:
+            with self._lock:
+                self._store_put_failures += 1
+            return False
+        return True
+
+    @staticmethod
+    def _program_key(key: StoreKey) -> _CacheKey:
+        """The (monolithic) LRU key of a program record's store key."""
+        fingerprint, style, build_flat, observable = key
+        return (fingerprint, GenerationStyle(style), build_flat, observable, False)
+
+    def stored_record(self, key: StoreKey) -> _Held:
+        """The record a store key names, from memory or disk, never compiled:
+        unit keys read the unit LRU, program keys the whole-program LRU."""
+        if key[1] == UNIT_STYLE:
+            return self._held_unit_record(key[0])
+        lru_key = self._program_key(key)
+        return self._held_record(lru_key, self._results.peek(lru_key))
+
+    def put_record(self, record: Dict[str, object]) -> bool:
+        """Inject a self-describing record into memory (the unit LRU for a
+        unit record) and the store; ``True`` if it reached disk.  Raises
+        ``ValueError`` for a record ``key_from_record`` rejects."""
+        key = key_from_record(record)
+        if key[1] == UNIT_STYLE:
+            self._unit_records.put(key[0], record)
+        else:
+            self._fill(self._program_key(key), record=record)
+        return self._spill(key, record)
 
     # -- modular compilation -------------------------------------------------
-    def _unit_record_for(self, unit, store: Optional[CompileStore]) -> Dict[str, object]:
+    def _unit_record_for(self, unit) -> Dict[str, object]:
         """The artifact record of one unit: memory LRU, disk store, or compile.
 
         A genuine compile runs on the pooled manager (under the compile
@@ -569,18 +708,14 @@ class CompilationService:
         warms at module granularity.
         """
         fingerprint = unit.fingerprint()
-        record = self._unit_records.get(fingerprint)
+        record, origin = self._held_unit_record(fingerprint)
         if record is not None:
             with self._lock:
-                self._unit_hits += 1
-            return record
-        if store is not None:
-            record = store.get(unit_store_key(fingerprint))
-            if record is not None:
-                with self._lock:
+                if origin == "memory":
+                    self._unit_hits += 1
+                else:
                     self._unit_store_hits += 1
-                self._unit_records.put(fingerprint, record)
-                return record
+            return record
         try:
             with self._compile_lock:
                 scope = self._scope_for(_UNIT_SCOPE_PREFIX + fingerprint)
@@ -596,11 +731,7 @@ class CompilationService:
         with self._lock:
             self._unit_misses += 1
         self._unit_records.put(fingerprint, record)
-        if store is not None:
-            try:
-                store.put(unit_store_key(fingerprint), record)
-            except OSError:
-                pass  # best-effort spill, as for whole-program records
+        self._spill(unit_store_key(fingerprint), record)
         self._maybe_recycle()
         return record
 
@@ -611,13 +742,12 @@ class CompilationService:
         style: GenerationStyle,
         build_flat: bool,
         observable: bool,
-        store: Optional[CompileStore],
     ) -> LinkedCompilationResult:
         """The modular miss path: resolve every unit, then link them."""
         with self._lock:
             self._link_misses += 1
         units = split_units(program)
-        records = [self._unit_record_for(unit, store) for unit in units]
+        records = [self._unit_record_for(unit) for unit in units]
         linked = link_units(
             program,
             units,
@@ -639,15 +769,13 @@ class CompilationService:
         build_flat: bool = False,
         observable: bool = True,
         program: Optional[KernelProgram] = None,
-        store: Optional[CompileStore] = None,
     ) -> LinkedCompilationResult:
         """Compile unit-by-unit against the unit cache, then link.
 
         The program is split into canonical units
         (:func:`repro.lang.units.split_units`); each unit's artifacts come
-        from the in-memory unit LRU, the disk store (``store=`` overrides
-        the service's own), or a genuine per-unit compile on the pool.
-        The link stage then composes them into a
+        from the in-memory unit LRU, the disk store, or a genuine per-unit
+        compile on the pool.  The link stage then composes them into a
         :class:`~repro.compiler.LinkedCompilationResult` that is
         trace-equivalent to the monolithic :meth:`compile` of the same
         source.
@@ -658,15 +786,13 @@ class CompilationService:
         hit that skips unit resolution and the link stage and returns a
         copy with fresh executables, exactly like :meth:`compile` hits; an
         exact textual repeat does not even parse.  A *novel* program over
-        cached units still pays only the link.  Whole linked results are
-        never written to the store: that is the daemon's program-record
-        tier (``link_store_hits`` is therefore always 0).
+        cached units still pays only the link.
         """
         if source is None and process is None:
             raise ValueError("compile_modular needs source= or process=")
         return self._compile_cached(
             source, process, style, build_flat, observable, program=program,
-            modular=True, store=self.store if store is None else store,
+            modular=True,
         )
 
     def compile_modular_record(
@@ -675,23 +801,14 @@ class CompilationService:
         style: GenerationStyle = GenerationStyle.HIERARCHICAL,
         build_flat: bool = False,
         observable: bool = True,
-        store: Optional[CompileStore] = None,
     ) -> Dict[str, object]:
-        """Modular compile rendered as a whole-program artifact record.
+        """:meth:`compile_record` with a modular miss path.
 
         The record has the exact shape of :meth:`compile_record`'s (kind
-        ``"program"``, keyed by the *whole-program* fingerprint): consumers
-        of records never see whether the miss path was monolithic or
-        modular, which is what lets the daemon's record tiers stay keyed as
-        before.
+        ``"program"``, keyed by the *whole-program* fingerprint), so one
+        record answers both kinds of request.
         """
-        linked = self.compile_modular(
-            source, style=style, build_flat=build_flat, observable=observable,
-            store=store,
-        )
-        return record_from_result(
-            linked, style, build_flat=build_flat, observable=observable
-        )
+        return self.record_for(source, style, build_flat, observable, modular=True)[0]
 
     def compile_batch(
         self,
@@ -892,12 +1009,11 @@ class CompilationService:
     ) -> Dict[str, object]:
         """Compile one source on the process pool; return its artifact record.
 
-        The daemon's parallel compile tier: ``K`` request threads each park
-        here while their compilation runs in a worker process, so ``K``
-        compilations proceed on ``K`` cores instead of serializing on the
-        GIL.  ``jobs`` sizes (and can grow) the shared pool.  ``modular``
-        makes the worker compile unit-by-unit (warming, and warmed by, the
-        parent's disk store at unit granularity).
+        The daemon's parallel compile tier (through :meth:`record_for`):
+        ``K`` request threads each park here while their compilation runs
+        in a worker process, so ``K`` compilations proceed on ``K`` cores
+        instead of serializing on the GIL.  ``jobs`` sizes (and can grow)
+        the shared pool.  This service's caches are not consulted.
         """
         with self._borrow_process_pool(max(jobs, 1)) as pool:
             record = pool.submit(
@@ -906,7 +1022,6 @@ class CompilationService:
                  self._store_path, bool(modular)),
             ).result()
         with self._lock:
-            self._requests += 1
             self._process_records += 1
         return record
 
@@ -1002,45 +1117,39 @@ class CompilationService:
         return len(self._results)
 
     def statistics(self) -> Dict[str, object]:
-        """Counters for monitoring: cache behaviour and pool sizes."""
+        """Counters for monitoring: cache behaviour and pool sizes.
+
+        ``link_hits`` counts modular requests the whole-program LRU
+        answered (live or as a record), ``link_store_hits`` modular record
+        requests a program record on disk answered.
+        """
         with self._lock:
             manager_stats = self._manager.statistics()
-            requests = self._requests
-            pool_recycles = self._pool_recycles
-            process_records = self._process_records
-            process_workers = self._process_jobs
-            modular_requests = self._modular_requests
-            unit_hits = self._unit_hits
-            unit_misses = self._unit_misses
-            unit_store_hits = self._unit_store_hits
-            links = self._links
-            link_hits = self._link_hits
-            link_misses = self._link_misses
-        stats = {
-            "requests": requests,
-            "cache_entries": len(self._results),
-            "cache_max_entries": self._results.max_entries,
-            "scopes": len(self._scopes),
-            "source_fast_path_hits": self._source_fingerprints.stats.hits,
-            "pooled_bdd_nodes": manager_stats["nodes"],
-            "pooled_bdd_vars": manager_stats["vars"],
-            "pooled_ite_cache_entries": manager_stats["ite_cache_entries"],
-            "max_pool_nodes": self.max_pool_nodes or 0,
-            "pool_recycles": pool_recycles,
-            "process_pool_workers": process_workers,
-            "process_records": process_records,
-            "modular_requests": modular_requests,
-            "unit_cache_entries": len(self._unit_records),
-            "unit_cache_max_entries": self._unit_records.max_entries,
-            "unit_hits": unit_hits,
-            "unit_misses": unit_misses,
-            "unit_store_hits": unit_store_hits,
-            "links": links,
-            "link_hits": link_hits,
-            "link_misses": link_misses,
-            # linked results are never read back from the store
-            "link_store_hits": 0,
-        }
+            stats = {
+                "requests": self._requests,
+                "cache_entries": len(self._results),
+                "cache_max_entries": self._results.max_entries,
+                "scopes": len(self._scopes),
+                "source_fast_path_hits": self._source_fingerprints.stats.hits,
+                "pooled_bdd_nodes": manager_stats["nodes"],
+                "pooled_bdd_vars": manager_stats["vars"],
+                "pooled_ite_cache_entries": manager_stats["ite_cache_entries"],
+                "max_pool_nodes": self.max_pool_nodes or 0,
+                "pool_recycles": self._pool_recycles,
+                "process_pool_workers": self._process_jobs,
+                "process_records": self._process_records,
+                "modular_requests": self._modular_requests,
+                "unit_cache_entries": len(self._unit_records),
+                "unit_cache_max_entries": self._unit_records.max_entries,
+                "unit_hits": self._unit_hits,
+                "unit_misses": self._unit_misses,
+                "unit_store_hits": self._unit_store_hits,
+                "links": self._links,
+                "link_hits": self._link_hits,
+                "link_misses": self._link_misses,
+                "link_store_hits": self._link_store_hits,
+                "store_put_failures": self._store_put_failures,
+            }
         stats.update(
             {f"cache_{name}": value for name, value in self._results.stats.as_dict().items()}
         )

@@ -316,10 +316,10 @@ class CompileStore:
     def touch(self, key: StoreKey) -> None:
         """Refresh a key's recency without reading its record (best-effort).
 
-        The daemon calls this on *memory-tier* hits: a hot record served
-        from memory for hours never reaches :meth:`get`, and without the
-        touch its disk mtime would go stale and :meth:`prune` would evict
-        the hottest entries first -- the opposite of LRU.
+        The service's record path calls this on *memory* hits: a hot
+        record served from memory for hours never reaches :meth:`get`, and
+        without the touch its disk mtime would go stale and :meth:`prune`
+        would evict the hottest entries first -- the opposite of LRU.
         """
         with contextlib.suppress(OSError):
             os.utime(self._entry_path(key), None)

@@ -57,6 +57,21 @@ class TestEngine:
         _, origin = daemon.compile_record(reformatted)
         assert origin == "memory"
 
+    def test_monolithic_and_modular_requests_share_one_record(self):
+        """One program's record answers both kinds of request, either way
+        round, from memory: the record tiers are keyed by the
+        whole-program fingerprint."""
+        for first, second in ((False, True), (True, False)):
+            daemon = CompilationDaemon()
+            record, origin = daemon.compile_record(ALARM_SOURCE, modular=first)
+            assert origin == "compiled"
+            again, origin = daemon.compile_record(ALARM_SOURCE, modular=second)
+            assert origin == "memory"
+            assert again == record
+            stats = daemon.statistics()
+            assert stats["daemon"]["compiles"] == 1
+            assert stats["daemon"]["memory_hits"] == 1
+
     def test_compile_response_artifacts_match_local_compiler(self):
         daemon = CompilationDaemon()
         response = daemon.handle_request(
@@ -413,15 +428,22 @@ class TestParallelDaemon:
 
 
 class _SlowService(CompilationService):
-    """A service whose compiles block until released (drain testing)."""
+    """A service whose compiles take ``delay`` seconds (drain testing).
+
+    The delay sits in the per-program compile step that every in-process
+    miss runs, and ``compiled`` counts its calls, so a drain test can
+    assert that a compile really was in flight.
+    """
 
     def __init__(self, delay=0.3):
         super().__init__()
         self.delay = delay
+        self.compiled = 0
 
-    def compile_process(self, *args, **kwargs):
+    def _compile_program(self, *args, **kwargs):
         time.sleep(self.delay)
-        return super().compile_process(*args, **kwargs)
+        self.compiled += 1
+        return super()._compile_program(*args, **kwargs)
 
 
 class TestGracefulDrain:
@@ -448,6 +470,7 @@ class TestGracefulDrain:
             assert responses[0].artifacts["python"] == compile_source(
                 COUNTER_SOURCE
             ).python_source()
+            assert daemon.daemon.service.compiled == 1
         finally:
             daemon.stop()
 
@@ -471,6 +494,7 @@ class TestGracefulDrain:
             worker.join(10)
             assert not worker.is_alive()
             assert len(responses) == 1 and responses[0].name == "COUNT"
+            assert daemon.daemon.service.compiled == 1
         finally:
             daemon.stop()
 
@@ -500,6 +524,7 @@ class TestGracefulDrain:
             worker.join(10)
             assert not worker.is_alive()
             assert len(responses) == 1 and responses[0].name == "COUNT"
+            assert daemon.daemon.service.compiled == 1  # WATCHDOG never compiled
         finally:
             daemon.stop()
 
@@ -742,7 +767,7 @@ class TestStoreOps:
         from repro.lang.parser import parse_process
         from repro.lang.units import split_units
         from repro.programs import FleetSpec, generate_fleet
-        from repro.service import daemon as daemon_module
+        from repro.service import service as service_module
 
         source = generate_fleet(
             FleetSpec(name="ONE", programs=1, library_size=4,
@@ -752,7 +777,7 @@ class TestStoreOps:
         assert len(units) == 3
         renders = []
         writes = []
-        real_render = daemon_module.record_from_result
+        real_render = service_module.record_from_result
         real_put = CompileStore.put
 
         def counting_render(*args, **kwargs):
@@ -763,7 +788,7 @@ class TestStoreOps:
             writes.append(record["kind"])
             return real_put(store, key, record)
 
-        monkeypatch.setattr(daemon_module, "record_from_result", counting_render)
+        monkeypatch.setattr(service_module, "record_from_result", counting_render)
         monkeypatch.setattr(CompileStore, "put", counting_put)
         daemon = CompilationDaemon(store=str(tmp_path))
         record, origin = daemon.compile_record(source, modular=True)
@@ -785,6 +810,60 @@ class TestStoreOps:
         assert response["ok"] and response["stored"] is False
         _, origin = daemon.compile_record(COUNTER_SOURCE)
         assert origin == "memory"
+
+    @staticmethod
+    def _modular_fleet_source():
+        from repro.programs import FleetSpec, generate_fleet
+
+        return generate_fleet(
+            FleetSpec(name="UNI", programs=1, library_size=4,
+                      units_per_program=3, shared_units=3, seed=5)
+        )[0]
+
+    @staticmethod
+    def _unit_fingerprints(source):
+        from repro.lang.kernel import normalize
+        from repro.lang.parser import parse_process
+        from repro.lang.units import split_units
+
+        return [u.fingerprint() for u in split_units(normalize(parse_process(source)))]
+
+    def test_store_get_finds_unit_records_held_in_memory(self):
+        """Without --store, unit records the service holds are visible to
+        store-get: memory is one tier for programs and units alike."""
+        source = self._modular_fleet_source()
+        daemon = CompilationDaemon()
+        daemon.compile_record(source, modular=True)
+        for fingerprint in self._unit_fingerprints(source):
+            response = daemon.handle_request(
+                {"op": "store-get", "kind": "unit", "fingerprint": fingerprint}
+            )
+            assert response["ok"] and response["found"] is True
+            assert response["origin"] == "memory"
+            assert response["record"]["kind"] == "unit"
+            assert response["record"]["fingerprint"] == fingerprint
+
+    def test_store_put_unit_records_reach_the_unit_cache(self):
+        """Unit records injected into a daemon without --store warm its
+        unit cache: a later modular compile of the program compiles no
+        unit."""
+        source = self._modular_fleet_source()
+        donor = CompilationDaemon()
+        donor.compile_record(source, modular=True)
+        target = CompilationDaemon()
+        fingerprints = self._unit_fingerprints(source)
+        for fingerprint in fingerprints:
+            record = donor.handle_request(
+                {"op": "store-get", "kind": "unit", "fingerprint": fingerprint}
+            )["record"]
+            response = target.handle_request({"op": "store-put", "record": record})
+            assert response["ok"] and response["stored"] is False
+        record, origin = target.compile_record(source, modular=True)
+        assert origin == "compiled"
+        stats = target.statistics()["service"]
+        assert stats["unit_misses"] == 0
+        assert stats["unit_hits"] == len(fingerprints)
+        assert record == donor.compile_record(source, modular=True)[0]
 
     def test_store_put_rejects_invalid_records(self):
         daemon = CompilationDaemon()

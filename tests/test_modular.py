@@ -186,23 +186,38 @@ def test_link_determinism_cold_vs_warm(tmp_path):
     """A record linked from freshly compiled units equals one a brand-new
     service links from the store's unit records (byte-for-byte).
 
-    The cold compile spills the three unit records and nothing else; the
-    warm service loads every unit from disk, compiles none, and links.
+    The cold compile spills the three unit records plus the program
+    record.  A warm service's live ``compile_modular`` never reads program
+    records: it loads every unit from disk, compiles none, and links.  The
+    warm record path answers from the program record without linking.
     """
+    from repro.codegen.ir import GenerationStyle
+    from repro.service import record_from_result
+
     store = CompileStore(tmp_path)
     with CompilationService(store=store) as cold_service:
         cold = cold_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
         assert cold_service.statistics()["unit_misses"] == 3
-    assert len(store) == 3
+    assert len(store) == 4
 
     with CompilationService(store=store) as warm_service:
-        warm = warm_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
+        linked = warm_service.compile_modular(_LINK_SOURCE, build_flat=True)
+        warm = record_from_result(
+            linked, GenerationStyle.HIERARCHICAL, build_flat=True
+        )
         stats = warm_service.statistics()
         assert stats["link_store_hits"] == 0
         assert stats["unit_store_hits"] == 3
         assert stats["unit_misses"] == 0
         assert stats["links"] == 1
     assert cold == warm
+
+    with CompilationService(store=store) as stored_service:
+        stored = stored_service.compile_modular_record(_LINK_SOURCE, build_flat=True)
+        stats = stored_service.statistics()
+        assert stats["link_store_hits"] == 1
+        assert stats["links"] == 0
+    assert stored == cold
 
 
 def test_link_cache_hits_return_isolated_executables(monkeypatch):

@@ -452,6 +452,48 @@ class TestProcessWorkerStore:
         assert len(store) == 1  # and nothing extra was written
 
 
+class TestRecordPath:
+    """The whole-program record path and its record-only LRU entries."""
+
+    def test_memory_hits_return_the_memoized_record(self):
+        with CompilationService() as service:
+            first, origin = service.record_for(COUNTER_SOURCE)
+            assert origin == "compiled"
+            second, origin = service.record_for(COUNTER_SOURCE)
+            assert origin == "memory"
+            assert second is first  # neither re-rendered nor copied
+            assert service.statistics()["cache_entries"] == 1
+
+    @pytest.mark.parametrize("filled_by", ["store hit", "store-put"])
+    def test_record_only_entry_still_compiles_a_live_result(self, tmp_path, filled_by):
+        """A live compile() that finds an entry holding only a record
+        compiles and fills the entry in; the result runs like a fresh one."""
+        from repro.service import CompileStore, key_from_record
+
+        with CompilationService() as donor:
+            record = donor.compile_record(ALARM_SOURCE)
+        if filled_by == "store hit":
+            store = CompileStore(tmp_path)
+            store.put(key_from_record(record), record)
+            service = CompilationService(store=store)
+            assert service.record_for(ALARM_SOURCE)[1] == "store"
+        else:
+            service = CompilationService()
+            assert service.put_record(record) is False  # no disk store
+            assert service.record_for(ALARM_SOURCE)[1] == "memory"
+        with service:
+            assert service.statistics()["cache_entries"] == 1
+            result = service.compile(ALARM_SOURCE)
+            assert result.python_source() == record["artifacts"]["python"]
+            assert run_trace(result) == run_trace(compile_source(ALARM_SOURCE))
+            stats = service.statistics()
+            assert stats["cache_entries"] == 1  # the same entry, filled in
+            assert stats["scopes"] == 1
+            # ...and the next live request is a genuine hit.
+            assert run_trace(service.compile(ALARM_SOURCE)) == run_trace(result)
+            assert service.record_for(ALARM_SOURCE) == (record, "memory")
+
+
 class TestPoolHygiene:
     SOURCES = [COUNTER_SOURCE, WATCHDOG_SOURCE, ACCUMULATOR_SOURCE, ALARM_SOURCE]
 
@@ -495,8 +537,8 @@ class TestPoolHygiene:
     def test_concurrent_compiles_and_recycles_keep_the_pool_consistent(self):
         """Eight request threads (the gateway's local fallback) share one
         service whose small LRU evicts and whose watermark recycles while
-        they compile: every result stays correct, and at rest every
-        registered scope belongs to a cached program."""
+        they compile and ask for records: every answer stays correct, and
+        at rest every registered scope belongs to a cached live result."""
         import sys
         import threading
 
@@ -508,7 +550,12 @@ class TestPoolHygiene:
             try:
                 for step in range(6):
                     source = self.SOURCES[(offset + step) % len(self.SOURCES)]
-                    assert service.compile(source).python_source() == references[source]
+                    if (offset + step) % 3 == 0:  # the record path shares entries
+                        record, _ = service.record_for(source)
+                        assert record["artifacts"]["python"] == references[source]
+                    else:
+                        result = service.compile(source)
+                        assert result.python_source() == references[source]
             except BaseException as error:  # reported by the main thread
                 errors.append(error)
 
@@ -524,8 +571,12 @@ class TestPoolHygiene:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        cached = {key[0] for key in service._results.keys()}
-        assert set(service._scopes) <= cached
+        live = {
+            key[0]
+            for key in service._results.keys()
+            if service._results.peek(key).result is not None
+        }
+        assert set(service._scopes) <= live
         assert service.statistics()["pool_recycles"] >= 1
 
     def test_no_recycling_without_watermark(self):
