@@ -5,21 +5,26 @@ The partitioner (``repro.lang.partition``) cuts a location-annotated
 program into per-location fragments that the distributed harness
 (``repro.runtime.distributed``) advances lock-step, copying the cut
 signals producer-to-consumer each instant.  This benchmark compiles one
-edge/cloud pipeline three ways and steps each over the same random
-schedule:
+edge/cloud pipeline and steps it over one random schedule three ways:
 
 * ``monolithic`` -- the unsplit generated step (the baseline);
-* ``composite``  -- both fragments stepped lock-step inside one process
-  (isolates the pure channel/flag bookkeeping overhead);
+* ``composite``  -- the generated in-process composite
+  (``DistributedProgram.run``): both fragments lock-step in one process;
 * ``processes``  -- one OS process per fragment, channels as
   multiprocessing pipes (the real distributed deployment).
 
 The three traces must be identical -- any divergence fails the benchmark
 (exit 1); that is the same differential oracle the fuzz suite applies.
-Throughput is reported as instants/sec plus the composite/monolithic
-overhead factor.  The OS-process measurement needs one core per fragment
-to mean anything, so on machines with fewer cores it prints ``SKIP`` for
-that leg and exits 0 (the in-process legs still run and gate).
+
+Timing: both in-process legs are warmed, then run 21 times (11 with
+``--quick``), alternating, and each leg reports its median.  The
+composite time is split into *fragment steps* (the fragments' generated
+``step`` methods replayed alone on the inputs the composite fed them)
+and *glue* (the rest: wiring inputs, channel flags, gathering outputs).
+The gate is ``channel_overhead_factor`` = composite / monolithic median
+time, at most 1.5.  The OS-process leg is one run; it needs one core per
+fragment to mean anything, so on machines with fewer cores it prints
+``SKIP`` for that leg (the in-process legs still run and gate).
 
 Usage::
 
@@ -35,6 +40,7 @@ import argparse
 import json
 import os
 import pathlib
+import statistics
 import sys
 import time
 
@@ -43,6 +49,7 @@ try:
 except ImportError:  # direct invocation without PYTHONPATH=src
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.codegen.python_backend import load_step_class
 from repro.runtime.distributed import build_distributed
 from repro.runtime.executor import random_input_schedule
 
@@ -63,6 +70,13 @@ process PIPELINE =
 end;
 """
 
+#: untimed runs of each in-process leg before the timed ones
+WARMUP = 3
+#: timed runs of each in-process leg, alternating (``--quick``: 11)
+REPEATS = 21
+#: the gate on composite / monolithic median time
+MAX_OVERHEAD = 1.5
+
 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -79,14 +93,45 @@ def parse_args(argv=None) -> argparse.Namespace:
         "--json", action="store_true", help="machine-readable JSON summary"
     )
     parser.add_argument(
-        "--quick", action="store_true", help="small instant count (CI smoke)"
+        "--quick",
+        action="store_true",
+        help="200 instants, 11 repeats (CI smoke)",
     )
     return parser.parse_args(argv)
+
+
+def fragment_inputs(distributed, schedule):
+    """Per fragment, the inputs the composite passes to each of its steps.
+
+    Runs the program's generated composite module once with recording
+    subclasses of the fragment step classes.
+    """
+    recorded = []
+    classes = []
+    for runtime in distributed.runtimes:
+        log = []
+        recorded.append(log)
+        classes.append(_recording(type(runtime.executable.step_instance), log))
+    composite_class = load_step_class(
+        distributed.composite_source(), f"{distributed.program.name}_composite"
+    )
+    composite_class(*classes).run(schedule)
+    return recorded
+
+
+def _recording(step_class, log):
+    class Recording(step_class):
+        def step(self, inputs, *rest):
+            log.append(inputs)
+            return super().step(inputs, *rest)
+
+    return Recording
 
 
 def main(argv=None) -> int:
     arguments = parse_args(argv)
     instants = 200 if arguments.quick else arguments.instants
+    repeats = 11 if arguments.quick else REPEATS
 
     distributed = build_distributed(source=PROGRAM)
     reference = distributed.reference
@@ -98,21 +143,53 @@ def main(argv=None) -> int:
         seed=arguments.seed,
     )
     outputs = set(distributed.program.outputs)
-
-    step = reference.executable.fresh()
-    started = time.perf_counter()
-    monolithic = [
-        {name: value for name, value in step.step(instant).items() if name in outputs}
-        for instant in schedule
+    recorded = fragment_inputs(distributed, schedule)
+    fragment_classes = [
+        type(runtime.executable.step_instance) for runtime in distributed.runtimes
     ]
-    monolithic_seconds = time.perf_counter() - started
 
-    started = time.perf_counter()
-    composite = distributed.run(schedule)
-    composite_seconds = time.perf_counter() - started
+    def monolithic_leg():
+        step = reference.executable.fresh()
+        return [
+            {name: value for name, value in step.step(instant).items() if name in outputs}
+            for instant in schedule
+        ]
 
+    def composite_leg():
+        return distributed.run(schedule)
+
+    def fragment_leg():
+        for step_class, inputs in zip(fragment_classes, recorded):
+            step = step_class().step
+            for values in inputs:
+                step(values)
+
+    def timed(leg):
+        started = time.perf_counter()
+        leg()
+        return time.perf_counter() - started
+
+    legs = {
+        "monolithic": monolithic_leg,
+        "composite": composite_leg,
+        "fragments": fragment_leg,
+    }
+    for _ in range(WARMUP):
+        for leg in legs.values():
+            leg()
+    samples = {name: [] for name in legs}
+    for _ in range(repeats):
+        for name, leg in legs.items():
+            samples[name].append(timed(leg))
+    medians = {name: statistics.median(times) for name, times in samples.items()}
+    monolithic_seconds = medians["monolithic"]
+    composite_seconds = medians["composite"]
+    fragment_seconds = min(medians["fragments"], composite_seconds)
+    glue_seconds = composite_seconds - fragment_seconds
+
+    monolithic = monolithic_leg()
     failures = []
-    if composite != monolithic:
+    if composite_leg() != monolithic:
         failures.append("in-process composite trace diverges from monolithic")
 
     cores = os.cpu_count() or 1
@@ -137,8 +214,14 @@ def main(argv=None) -> int:
     overhead = (
         composite_seconds / monolithic_seconds if monolithic_seconds > 0 else 1.0
     )
+    if overhead > MAX_OVERHEAD:
+        failures.append(
+            f"composite takes {overhead:.2f}x the monolithic step time "
+            f"(gate: <= {MAX_OVERHEAD:.2f}x)"
+        )
     summary = {
         "instants": instants,
+        "repeats": repeats,
         "locations": distributed.locations,
         "channels": [
             {"producer": c.producer, "consumer": c.consumer, "signals": len(c.signals)}
@@ -146,22 +229,36 @@ def main(argv=None) -> int:
         ],
         "monolithic_per_sec": rate(monolithic_seconds),
         "composite_per_sec": rate(composite_seconds),
+        "monolithic_us_per_instant": monolithic_seconds / instants * 1e6,
+        "composite_us_per_instant": composite_seconds / instants * 1e6,
+        "fragment_step_us_per_instant": fragment_seconds / instants * 1e6,
+        "glue_us_per_instant": glue_seconds / instants * 1e6,
         "channel_overhead_factor": overhead,
+        "max_overhead": MAX_OVERHEAD,
         "processes_per_sec": rate(process_seconds) if process_seconds else None,
         "processes_skipped": process_skip,
-        "matches_monolithic": not failures,
+        "matches_monolithic": not any("diverges" in f for f in failures),
+        "passed": not failures,
     }
     if arguments.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:
         print(
             f"2-location split ({' -> '.join(distributed.locations)}), "
-            f"{instants} instants:"
+            f"{instants} instants, median of {repeats} alternating runs:"
         )
-        print(f"  monolithic:      {summary['monolithic_per_sec']:,.0f} instants/s")
+        print(
+            f"  monolithic:      {summary['monolithic_per_sec']:,.0f} instants/s "
+            f"({summary['monolithic_us_per_instant']:.2f} us/instant)"
+        )
         print(
             f"  composite:       {summary['composite_per_sec']:,.0f} instants/s "
-            f"({overhead:.2f}x the monolithic step time)"
+            f"({overhead:.2f}x the monolithic step time; gate <= "
+            f"{MAX_OVERHEAD:.2f}x)"
+        )
+        print(
+            f"    fragment steps {summary['fragment_step_us_per_instant']:.2f} us/instant, "
+            f"glue {summary['glue_us_per_instant']:.2f} us/instant"
         )
         if process_skip is not None:
             print(f"  OS processes:    SKIP ({process_skip})")

@@ -692,7 +692,9 @@ def _run_simulate_distributed(arguments) -> int:
         return 1
 
     reference = distributed.reference
-    executable = reference.executable_flat if arguments.flat else reference.executable
+    # The reference is compiled in the requested style: its ``executable``
+    # is the flat step under ``--flat``, and it has no separate flat build.
+    executable = reference.executable
     presence = {}
     started = time.perf_counter()
     for index in range(arguments.instances):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import CodeGenerationError, SimulationError
@@ -338,11 +339,15 @@ class CompiledProcess:
         oracle: Optional[Callable[[str], object]] = None,
         observe: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
-        """Run one reaction and return the present outputs."""
+        """Run one reaction and return the present outputs.
+
+        ``inputs`` is passed to the generated step as is: the step only
+        reads it (``in``, ``[]`` and ``.get``), so any mapping will do.
+        """
         instance = self._instance
         if instance is None:
             instance = self.step_instance
-        return instance.step(dict(inputs or {}), oracle, observe)
+        return instance.step(_NO_INPUTS if inputs is None else inputs, oracle, observe)
 
     def run(
         self,
@@ -406,6 +411,8 @@ class CompiledProcess:
 
 #: serializes first loads, so racing threads share one step instance
 _LOAD_LOCK = threading.Lock()
+#: the inputs of a step called with ``inputs=None``
+_NO_INPUTS: Mapping[str, object] = MappingProxyType({})
 
 
 def _prepare_step_instance(instance: object, observable: bool) -> object:

@@ -1,11 +1,11 @@
-"""Lock-step execution of a partitioned program across OS processes.
+"""Lock-step execution of a partitioned program, in one process or many.
 
 The partitioner (:mod:`repro.lang.partition`) cuts a program into one
 kernel program per location plus typed channels at the cuts.  This module
 compiles every fragment through the :class:`~repro.service.service.
 CompilationService` (the modular path by default, so fragments sharing
-modules dedupe against the fleet-wide unit cache) and advances the
-fragments **instant by instant**:
+modules dedupe against the fleet-wide unit cache), wires them once, when
+the harness is built, and advances the fragments **instant by instant**:
 
 * each instant, fragments step in the topological order of the location
   graph; a channel carries, per instant, the pair (presence, value) of
@@ -17,25 +17,37 @@ fragments **instant by instant**:
   a free clock of the *monolithic* program and read the driving schedule
   directly.  A fragment clock that is neither is constrained at another
   location -- the partition is rejected when the harness is built;
-* :meth:`DistributedProgram.run` steps everything inside one process (the
-  deterministic baseline); :meth:`DistributedProgram.run_multiprocess`
-  spawns one OS process per fragment, wires the channels as
-  :func:`multiprocessing.Pipe` pairs, and drives the children over a
-  control pipe.  Children are always reaped: the parent sends a shutdown
-  sentinel, joins, and terminates stragglers even on ``KeyboardInterrupt``
-  or ``SIGTERM``.
+* the wiring plan of a fragment (its external inputs, the producer of
+  each channel input, its flag plans and its channel outputs) is fixed at
+  build time and drives both execution modes.
 
-The wire format on every pipe is one picklable dict per instant:
-``{"inputs": {...}, "flags": {...}}`` parent-to-child, ``{signal: value}``
-(present signals only) child-to-parent and on every channel pipe.
+:meth:`DistributedProgram.run` executes the composite as *generated code*,
+the way the paper compiles a whole program to one step: on first use the
+wiring plan is rendered as one small python module (see
+:func:`render_composite_module`) whose ``run(schedule)`` builds fresh
+fragment step instances and, per instant, calls their generated ``step``
+methods directly with literal per-signal input statements.  The module is
+loaded through :func:`repro.codegen.python_backend.load_step_class` once
+per program and cached on it.
+
+:meth:`DistributedProgram.run_multiprocess` spawns one OS process per
+fragment, wires the channels as :func:`multiprocessing.Pipe` pairs, and
+drives the children over a control pipe.  Children are always reaped: the
+parent sends a shutdown sentinel, joins, and terminates stragglers even on
+``KeyboardInterrupt`` or ``SIGTERM``.  The wire format on every pipe is
+one picklable dict per instant: ``{"inputs": {...}, "flags": {...}}``
+parent-to-child, ``{signal: value}`` (present signals only)
+child-to-parent and on every channel pipe.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..codegen import python_backend
 from ..errors import PartitionError
 from ..lang.ast import Process
 from ..lang.kernel import KernelProgram, normalize
@@ -47,7 +59,11 @@ __all__ = [
     "FragmentRuntime",
     "DistributedProgram",
     "build_distributed",
+    "render_composite_module",
 ]
+
+#: serializes first loads, so racing threads share one loaded composite
+_LOAD_LOCK = threading.Lock()
 
 
 def _serialize_atoms(atoms) -> List[Tuple[str, str]]:
@@ -94,15 +110,17 @@ def _root_flag_atoms(result) -> List[List[Tuple[str, str]]]:
 
 @dataclass
 class FragmentRuntime:
-    """One compiled fragment plus its channel wiring and clock plans."""
+    """One compiled fragment plus its wiring plan."""
 
     fragment: Fragment
     result: object
-    #: per root flag of the fragment executable: ``("channel", members)`` or
-    #: ``("external", monolithic_key)``
+    #: per root flag of the fragment executable: ``(key, "channel", members)``
+    #: or ``(key, "external", monolithic_key)``
     flag_plans: List[Tuple[str, str, object]] = field(default_factory=list)
     #: channel outputs grouped by consumer location, in topological order
     sends: List[Tuple[str, List[str]]] = field(default_factory=list)
+    #: the producing location of every channel input
+    sources: Dict[str, str] = field(default_factory=dict)
 
     @property
     def location(self) -> str:
@@ -111,6 +129,39 @@ class FragmentRuntime:
     @property
     def executable(self):
         return self.result.executable
+
+    @property
+    def external_flags(self) -> List[Tuple[str, str]]:
+        """``(key, monolithic_key)`` of every flag read off the schedule."""
+        return [
+            (key, payload) for key, kind, payload in self.flag_plans
+            if kind == "external"
+        ]
+
+    @property
+    def channel_flags(self) -> List[Tuple[str, List[str]]]:
+        """``(key, members)`` of every flag set by a channel's arrival."""
+        return [
+            (key, payload) for key, kind, payload in self.flag_plans
+            if kind == "channel"
+        ]
+
+    @property
+    def reads_instant(self) -> bool:
+        """Whether the driving instant itself is this fragment's input.
+
+        True when every input is external and every free clock reads the
+        monolithic flag of the same key whose absence means absent: the
+        generated step then reads from the instant exactly what a copy of
+        the fragment's inputs would hold (the step only reads its inputs).
+        """
+        executable = self.executable
+        return set(executable.inputs) <= set(self.fragment.external_inputs) and all(
+            kind == "external" and payload == key and not default
+            for (key, kind, payload), (_cid, _key, default) in zip(
+                self.flag_plans, executable.root_flags
+            )
+        )
 
     def worker_payload(self) -> dict:
         """Everything a child process needs to rebuild and run the step."""
@@ -123,9 +174,96 @@ class FragmentRuntime:
             "outputs": list(executable.outputs),
             "root_flags": [list(flag) for flag in executable.root_flags],
             "types": {name: t.value for name, t in executable.types.items()},
-            "flag_plans": list(self.flag_plans),
-            "sends": [(consumer, list(signals)) for consumer, signals in self.sends],
+            "channel_flags": self.channel_flags,
         }
+
+
+def render_composite_module(
+    name: str, runtimes: Sequence[FragmentRuntime], program_outputs: Sequence[str]
+) -> str:
+    """The lock-step composite of ``runtimes`` as python source.
+
+    The module defines ``<name>_composite_step``, constructed with the
+    step class of every fragment (in ``runtimes`` order).  Its
+    ``run(schedule)`` builds fresh fragment instances, so delay registers
+    start from their initial values on every run, and steps them in order
+    each instant.  Fragment ``k``'s inputs ``i<k>`` are literal statements
+    over the instant (external inputs and flags) and over the output dict
+    ``o<p>`` of each producer ``p`` (channel values, and channel flags as
+    "did a member arrive"); a fragment that :attr:`~FragmentRuntime.
+    reads_instant` is passed the instant itself.  Returns, per instant,
+    the present program outputs, gathered into the output dict of the last
+    fragment that emits program outputs only (a fresh dict per step).
+    """
+    index = {runtime.location: k for k, runtime in enumerate(runtimes)}
+    wanted = set(program_outputs)
+    fragments = ", ".join(runtime.location for runtime in runtimes)
+    parameters = "".join(f", f{k}" for k in range(len(runtimes)))
+    lines = [
+        '"""Generated by the SIGNAL reproduction compiler -- do not edit."""',
+        "",
+        "",
+        f"class {name}_composite_step:".replace("-", "_"),
+        f'    """Lock-step composite of process {name} (fragments: {fragments})."""',
+        "",
+        f"    def __init__(self{parameters}):",
+    ]
+    lines += [f"        self.f{k} = f{k}" for k in range(len(runtimes))] or ["        pass"]
+    lines += ["", "    def run(self, schedule):"]
+    lines += [f"        step{k} = self.f{k}().step" for k in range(len(runtimes))]
+    lines += [
+        "        composite = []",
+        "        append = composite.append",
+        "        for instant in schedule:",
+    ]
+    wired = [runtime for runtime in runtimes if not runtime.reads_instant]
+    if any(runtime.external_flags for runtime in wired):
+        lines.append("            get = instant.get")
+    for k, runtime in enumerate(runtimes):
+        if runtime.reads_instant:
+            lines.append(f"            o{k} = step{k}(instant)")
+            continue
+        flags = [
+            f"{key!r}: bool(get({monolithic!r}, False))"
+            for key, monolithic in runtime.external_flags
+        ] + [
+            f"{key!r}: "
+            + " or ".join(
+                f"{member!r} in o{index[runtime.sources[member]]}" for member in members
+            )
+            for key, members in runtime.channel_flags
+        ]
+        lines.append(f"            i{k} = {{{', '.join(flags)}}}")
+        for signal in runtime.fragment.external_inputs:
+            lines.append(f"            if {signal!r} in instant:")
+            lines.append(f"                i{k}[{signal!r}] = instant[{signal!r}]")
+        for signal in runtime.fragment.channel_inputs:
+            producer = f"o{index[runtime.sources[signal]]}"
+            lines.append(f"            if {signal!r} in {producer}:")
+            lines.append(f"                i{k}[{signal!r}] = {producer}[{signal!r}]")
+        lines.append(f"            o{k} = step{k}(i{k})")
+    # Fragments emitting program outputs only are gathered whole; the last
+    # of them lends its (per-step) output dict to the composite trace.
+    whole = [
+        k for k, runtime in enumerate(runtimes)
+        if runtime.executable.outputs and wanted.issuperset(runtime.executable.outputs)
+    ]
+    if whole:
+        lines.append(f"            observed = o{whole[-1]}")
+    else:
+        lines.append("            observed = {}")
+    for k, runtime in enumerate(runtimes):
+        if whole and k == whole[-1]:
+            continue
+        if k in whole:
+            lines.append(f"            observed.update(o{k})")
+            continue
+        for signal in runtime.executable.outputs:
+            if signal in wanted:
+                lines.append(f"            if {signal!r} in o{k}:")
+                lines.append(f"                observed[{signal!r}] = o{k}[{signal!r}]")
+    lines += ["            append(observed)", "        return composite", ""]
+    return "\n".join(lines)
 
 
 @dataclass
@@ -136,6 +274,10 @@ class DistributedProgram:
     #: monolithic reference compilation (drives schedules and external clocks)
     reference: object
     runtimes: List[FragmentRuntime]
+    #: the loaded composite, built on the first :meth:`run`
+    _composite: Optional[object] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def program(self) -> KernelProgram:
@@ -149,28 +291,11 @@ class DistributedProgram:
         """A fresh reference interpreter for the unsplit program."""
         return self.reference.interpreter()
 
-    # -- stepping (shared by both execution modes) -------------------------
-    def _fragment_inputs(
-        self,
-        runtime: FragmentRuntime,
-        instant: Mapping[str, object],
-        channel_env: Mapping[str, object],
-    ) -> Dict[str, object]:
-        values: Dict[str, object] = {}
-        for name in runtime.fragment.external_inputs:
-            if name in instant:
-                values[name] = instant[name]
-        for name in runtime.fragment.channel_inputs:
-            if name in channel_env:
-                values[name] = channel_env[name]
-        for (key, kind, payload), _flag in zip(
-            runtime.flag_plans, runtime.executable.root_flags
-        ):
-            if kind == "channel":
-                values[key] = any(member in channel_env for member in payload)
-            else:
-                values[key] = bool(instant.get(payload, False))
-        return values
+    def composite_source(self) -> str:
+        """The generated python module behind :meth:`run`."""
+        return render_composite_module(
+            self.program.name, self.runtimes, self.program.outputs
+        )
 
     def run(self, schedule: Sequence[Mapping[str, object]]) -> List[Dict[str, object]]:
         """Step every fragment in one process, instant by instant.
@@ -179,26 +304,24 @@ class DistributedProgram:
         presence booleans for the monolithic program's free clocks, as
         produced by :func:`repro.runtime.executor.random_input_schedule`
         for the reference compilation).  Returns, per instant, the present
-        *program* outputs of the composite system.
+        *program* outputs of the composite system.  Every run starts from
+        fresh delay registers.
         """
-        steps = [runtime.executable.fresh() for runtime in self.runtimes]
-        program_outputs = set(self.program.outputs)
-        composite: List[Dict[str, object]] = []
-        for instant in schedule:
-            channel_env: Dict[str, object] = {}
-            observed: Dict[str, object] = {}
-            for runtime, step in zip(self.runtimes, steps):
-                outputs = step.step(
-                    self._fragment_inputs(runtime, instant, channel_env)
-                )
-                for name in runtime.fragment.channel_outputs:
-                    if name in outputs:
-                        channel_env[name] = outputs[name]
-                for name, value in outputs.items():
-                    if name in program_outputs:
-                        observed[name] = value
-            composite.append(observed)
-        return composite
+        composite = self._composite
+        if composite is None:
+            with _LOAD_LOCK:
+                if self._composite is None:
+                    composite_class = python_backend.load_step_class(
+                        self.composite_source(), f"{self.program.name}_composite"
+                    )
+                    self._composite = composite_class(
+                        *(
+                            type(runtime.executable.step_instance)
+                            for runtime in self.runtimes
+                        )
+                    )
+                composite = self._composite
+        return composite.run(schedule)
 
     # -- multi-process execution -------------------------------------------
     def run_multiprocess(
@@ -224,6 +347,10 @@ class DistributedProgram:
         children: List = []
         controls: List = []
         program_outputs = set(self.program.outputs)
+        messages = [
+            (runtime.fragment.external_inputs, runtime.external_flags)
+            for runtime in self.runtimes
+        ]
         try:
             for runtime in self.runtimes:
                 parent_end, child_end = context.Pipe()
@@ -254,18 +381,18 @@ class DistributedProgram:
 
             composite: List[Dict[str, object]] = []
             for instant in schedule:
-                for runtime, control in zip(self.runtimes, controls):
-                    external = {
-                        name: instant[name]
-                        for name in runtime.fragment.external_inputs
-                        if name in instant
-                    }
-                    flags = {
-                        key: bool(instant.get(payload, False))
-                        for key, kind, payload in runtime.flag_plans
-                        if kind == "external"
-                    }
-                    control.send({"inputs": external, "flags": flags})
+                for (external, flags), control in zip(messages, controls):
+                    control.send(
+                        {
+                            "inputs": {
+                                name: instant[name] for name in external if name in instant
+                            },
+                            "flags": {
+                                key: bool(instant.get(monolithic, False))
+                                for key, monolithic in flags
+                            },
+                        }
+                    )
                 observed: Dict[str, object] = {}
                 for control in controls:
                     outputs = control.recv()
@@ -309,10 +436,7 @@ def _fragment_worker(control, in_conns, out_conns, payload) -> None:
         root_flags=[tuple(flag) for flag in payload["root_flags"]],
         types={name: SignalType(value) for name, value in payload["types"].items()},
     )
-    channel_plans = [
-        (key, members) for key, kind, members in payload["flag_plans"]
-        if kind == "channel"
-    ]
+    channel_flags = payload["channel_flags"]
     try:
         while True:
             try:
@@ -327,7 +451,7 @@ def _fragment_worker(control, in_conns, out_conns, payload) -> None:
             for conn in in_conns:
                 arrived.update(conn.recv())
             values.update(arrived)
-            for key, members in channel_plans:
+            for key, members in channel_flags:
                 values[key] = any(member in arrived for member in members)
             outputs = executable.step(values)
             for conn, signals in out_conns:
@@ -433,9 +557,12 @@ def build_distributed(
                     stub, style=style, program=fragment.program
                 )
             sends: Dict[str, List[str]] = {}
+            sources: Dict[str, str] = {}
             for channel in partitioned.channels:
                 if channel.producer == fragment.location:
                     sends[channel.consumer] = [s.name for s in channel.signals]
+                if channel.consumer == fragment.location:
+                    sources.update((s.name, channel.producer) for s in channel.signals)
             runtimes.append(
                 FragmentRuntime(
                     fragment=fragment,
@@ -446,6 +573,7 @@ def build_distributed(
                     sends=sorted(
                         sends.items(), key=lambda item: consumer_order[item[0]]
                     ),
+                    sources=sources,
                 )
             )
         return DistributedProgram(

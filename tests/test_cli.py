@@ -264,3 +264,50 @@ class TestSimulationAndErrors:
         path.write_text("process P = (| |) end")
         assert main([str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+PIPELINE_SOURCE = """
+process PIPE =
+  ( ? integer RAW at edge; boolean ENABLE at edge;
+    ! integer SMOOTH at edge; integer TOTAL at cloud; )
+  (| ZRAW := RAW $ 1 init 0
+   | SMOOTH := (RAW + ZRAW) / 2
+   | SAMPLE := SMOOTH when ENABLE
+   | ZTOTAL := TOTAL $ 1 init 0
+   | TOTAL := SAMPLE + ZTOTAL at cloud
+  |)
+  where integer ZRAW, SAMPLE, ZTOTAL;
+end;
+"""
+
+
+class TestSimulateDistributed:
+    @pytest.fixture()
+    def pipeline_file(self, tmp_path):
+        path = tmp_path / "pipe.sig"
+        path.write_text(PIPELINE_SOURCE)
+        return str(path)
+
+    def _summary(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return json.loads(captured.out)
+
+    @pytest.mark.parametrize("style", [[], ["--flat"]], ids=["hierarchical", "flat"])
+    def test_composite_presence_matches_the_monolithic_simulation(
+        self, pipeline_file, capsys, style
+    ):
+        """``--distributed`` (``--flat`` included) steps the same schedules
+        as the monolithic population and sees the same outputs."""
+        common = ["--instances", "3", "--ticks", "24", "--seed", "4", "--json"] + style
+        composite = self._summary(
+            ["simulate", pipeline_file, "--distributed"] + common, capsys
+        )
+        monolithic = self._summary(
+            ["simulate", pipeline_file, "--backend", "python"] + common, capsys
+        )
+        assert composite["backend"] == "distributed"
+        assert composite["locations"] == ["edge", "cloud"]
+        assert composite["outputs"] == monolithic["outputs"]
+        assert sum(composite["outputs"].values()) > 0

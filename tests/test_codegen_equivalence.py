@@ -127,3 +127,32 @@ def test_accumulator_total_matches_running_sum(values):
             assert outputs["TOTAL"] == running
         else:
             assert outputs == {}
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["hierarchical", "flat"])
+def test_step_reads_any_mapping_without_copying(flat):
+    """``CompiledProcess.step`` hands its inputs to the generated step as
+    is, so a read-only mapping steps exactly like a dict, and ``None``
+    steps like an empty mapping."""
+    from types import MappingProxyType
+
+    from repro.runtime import random_input_schedule
+
+    result = compile_source(ALARM_SOURCE, build_flat=flat)
+    executable = result.executable_flat if flat else result.executable
+    schedule = random_input_schedule(
+        result.types,
+        list(executable.inputs),
+        list(executable.root_flags),
+        steps=40,
+        seed=9,
+    )
+    with_dicts = executable.fresh()
+    with_proxies = executable.fresh()
+    for instant in schedule:
+        assert with_proxies.step(MappingProxyType(dict(instant))) == with_dicts.step(
+            dict(instant)
+        )
+    counter = compile_source(COUNTER_SOURCE).executable
+    oracle = {"RESET": False}.__getitem__
+    assert counter.fresh().step(None, oracle) == counter.fresh().step({}, oracle)

@@ -12,17 +12,24 @@ Three layers of coverage:
 * **the harness** -- the composite trace of the split system equals the
   monolithic reference, both in-process and across real OS processes, and
   the multi-process driver never leaks children (all reaped on every exit
-  path, including a poisoned worker).
+  path, including a poisoned worker);
+* **the generated composite** -- in-process runs go through one generated
+  module per program, loaded on the first run and never at build time,
+  whose runs start from fresh delay registers, in either style.
 """
 
 import multiprocessing
 import random
+import sys
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import CompilationService
+from repro.codegen import python_backend
+from repro.codegen.ir import GenerationStyle
 from repro.errors import PartitionError
 from repro.lang import normalize, parse_process
 from repro.lang.partition import (
@@ -31,8 +38,11 @@ from repro.lang.partition import (
     partition_program,
     partition_source,
 )
+from repro.programs import generate_control_program
 from repro.runtime.distributed import build_distributed
 from repro.runtime.executor import random_input_schedule
+
+from test_differential_fuzz import distributed_spec_for_seed
 
 #: One service for every compiling test in this module.
 _SERVICE = CompilationService(max_entries=256)
@@ -416,3 +426,162 @@ def test_distributed_spec_off_is_byte_identical():
     explicit = ControlProgramSpec(name="SAME", modules=2, distributed=False)
     assert generate_control_program(plain) == generate_control_program(explicit)
     assert "at " not in generate_control_program(plain)
+
+
+# -- the generated composite ---------------------------------------------------
+
+
+@pytest.fixture()
+def step_loads(monkeypatch):
+    """The name of every generated module compiled and executed, in order."""
+    loads = []
+    real = python_backend.load_step_class
+
+    def counting(source, name):
+        loads.append(name)
+        return real(source, name)
+
+    monkeypatch.setattr(python_backend, "load_step_class", counting)
+    return loads
+
+
+@pytest.mark.parametrize("case", ["pipeline", 0, 17])
+def test_flat_composite_matches_flat_monolithic(case):
+    """The flat style splits too: the pipeline and two annotated corpus
+    seeds, fragments and reference all compiled flat."""
+    if case == "pipeline":
+        source = EDGE_CLOUD_SOURCE
+    else:
+        source = generate_control_program(distributed_spec_for_seed(case))
+    distributed = build_distributed(
+        source=source, service=_SERVICE, style=GenerationStyle.FLAT
+    )
+    assert distributed.locations == ["edge", "cloud"]
+    styles = {runtime.executable.style for runtime in distributed.runtimes}
+    assert styles | {distributed.reference.executable.style} == {GenerationStyle.FLAT}
+    schedule = _schedule(distributed, steps=48, seed=random.Random(f"flat:{case}"))
+    assert distributed.run(schedule) == _monolithic_trace(distributed, schedule)
+
+
+def test_repeated_and_interleaved_runs_start_from_fresh_registers():
+    """Every run owns its fragment instances: running twice, running
+    another schedule in between, or starting a run while another is halfway
+    through its schedule never leaks delay-register state between runs."""
+    distributed = build_distributed(source=EDGE_CLOUD_SOURCE, service=_SERVICE)
+    first = _schedule(distributed, steps=24, seed=random.Random(31))
+    second = _schedule(distributed, steps=24, seed=random.Random(32))
+    want_first = _monolithic_trace(distributed, first)
+    want_second = _monolithic_trace(distributed, second)
+    assert want_first != want_second
+
+    assert distributed.run(first) == want_first
+    assert distributed.run(first) == want_first
+    assert distributed.run(second) == want_second
+    assert distributed.run(first) == want_first
+
+    nested = []
+
+    def interleaved():
+        for index, instant in enumerate(first):
+            if index == len(first) // 2:
+                nested.append(distributed.run(second))
+            yield instant
+
+    assert distributed.run(interleaved()) == want_first
+    assert nested == [want_second]
+
+
+def test_composite_module_loads_once_per_program_never_at_build(step_loads):
+    service = CompilationService()
+    try:
+        distributed = build_distributed(source=EDGE_CLOUD_SOURCE, service=service)
+        assert step_loads == [], "building the harness loads no generated code"
+        schedule = _schedule(distributed, steps=16, seed=random.Random(41))
+        want = _monolithic_trace(distributed, schedule)
+        assert distributed.run(schedule) == want
+        assert distributed.run(schedule) == want
+        assert step_loads.count("PIPE_composite") == 1
+
+        # A second program of the same source gets its own module.
+        again = build_distributed(source=EDGE_CLOUD_SOURCE, service=service)
+        assert again.run(schedule) == want
+        assert step_loads.count("PIPE_composite") == 2
+        assert "PIPE_composite_step" in again.composite_source()
+    finally:
+        service.close()
+
+
+def test_flat_multiprocess_matches_and_reaps_without_the_composite(step_loads):
+    """The OS-process mode shares the wiring plan, not the generated
+    composite: it never loads the module, matches the monolithic trace in
+    the flat style, and reaps its children."""
+    distributed = build_distributed(
+        source=EDGE_CLOUD_SOURCE, service=_SERVICE, style=GenerationStyle.FLAT
+    )
+    schedule = _schedule(distributed, steps=16, seed=random.Random(43))
+    want = _monolithic_trace(distributed, schedule)
+    assert distributed.run_multiprocess(schedule) == want
+    assert _no_fragment_children()
+    assert "PIPE_composite" not in step_loads
+
+
+def test_source_fragment_reads_the_instant_only_where_equivalent():
+    """A fragment is handed the driving instant itself only when its
+    inputs are all external and its free clocks are the monolithic flags
+    of the same key, absence meaning absent: dropping the false flags from
+    every instant then changes nothing.  A free clock that defaults to
+    present (the annotated corpus's single edge clock) keeps the wiring."""
+    distributed = build_distributed(source=EDGE_CLOUD_SOURCE, service=_SERVICE)
+    edge, cloud = distributed.runtimes
+    assert edge.reads_instant and not cloud.reads_instant
+    assert "step0(instant)" in distributed.composite_source()
+    schedule = _schedule(distributed, steps=32, seed=random.Random(47))
+    flags = {key for _cid, key, _default in distributed.reference.executable.root_flags}
+    sparse = [
+        {name: value for name, value in instant.items() if name not in flags or value}
+        for instant in schedule
+    ]
+    assert sparse != schedule
+    assert distributed.run(sparse) == distributed.run(schedule)
+    assert distributed.run(schedule) == _monolithic_trace(distributed, schedule)
+
+    corpus = build_distributed(
+        source=generate_control_program(distributed_spec_for_seed(0)),
+        service=_SERVICE,
+    )
+    assert not any(runtime.reads_instant for runtime in corpus.runtimes)
+
+
+def test_concurrent_runs_share_one_composite(step_loads):
+    """Threads racing the first run load one module between them, and
+    concurrent runs of it keep their fragment state apart."""
+    distributed = build_distributed(source=EDGE_CLOUD_SOURCE, service=_SERVICE)
+    schedules = [
+        _schedule(distributed, steps=24, seed=random.Random(60 + index))
+        for index in range(6)
+    ]
+    wanted = [_monolithic_trace(distributed, schedule) for schedule in schedules]
+    errors = []
+    start = threading.Barrier(len(schedules))
+
+    def worker(index):
+        try:
+            start.wait(timeout=10)
+            for _ in range(40):
+                assert distributed.run(schedules[index]) == wanted[index]
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(schedules))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert step_loads.count("PIPE_composite") == 1
