@@ -30,30 +30,10 @@ from .bdd import BDDManager
 from .clocks.algebra import CondFalse, CondTrue, SignalClock
 from .clocks.equations import ClockSystem, extract_clock_system
 from .clocks.resolution import ClockHierarchy, resolve
-from .codegen.c_backend import (
-    emit_shared_statement_lines,
-    emit_statement_lines as emit_c_statement_lines,
-    generate_c_shared_source,
-    generate_c_source,
-    scan_statement_arithmetic,
-    scan_statement_io,
-)
+from .codegen.c_backend import generate_c_shared_source, generate_c_source
 from .codegen.ir import GenerationStyle, StepIR, build_step_ir
-from .codegen.linker import (
-    ir_to_payload,
-    link_c_shared_source,
-    link_c_source,
-    link_interface,
-    link_python_source,
-    link_step_ir,
-    root_placeholder_line,
-)
-from .codegen.python_backend import (
-    CompiledProcess,
-    compile_step,
-    emit_statement_lines as emit_python_statement_lines,
-    generate_python_source,
-)
+from .codegen.linker import ir_to_payload, link_step_ir
+from .codegen.python_backend import CompiledProcess, compile_step, generate_python_source
 from .graph.dependency import ConditionalDependencyGraph, build_dependency_graph
 from .graph.scheduling import Schedule, build_schedule
 from .lang.ast import Process
@@ -307,12 +287,14 @@ def compile_unit_record(unit: ProgramUnit, manager: Optional[BDDManager] = None)
 
     The unit is compiled under its *canonical* names (so the record is
     shareable across every program embedding the module) and the record
-    captures everything the link stage needs: the step IR of both
+    captures everything the link stage needs: the step IR payload of both
     generation styles, the signal -> clock-class map, the free classes with
     their structural atoms (presence keys are recomputed per program at
-    link time), the inferred types and the rendered per-unit artifacts.
-    The record is JSON-safe and is what the in-memory unit LRU and the
-    on-disk :class:`~repro.service.store.CompileStore` cache.
+    link time), the inferred types and the rendered per-unit texts (forest,
+    free clocks, clock system, kernel).  It holds no generated code: source
+    is only ever emitted from a linked :class:`StepIR`.  The record is
+    JSON-safe and is what the in-memory unit LRU and the on-disk
+    :class:`~repro.service.store.CompileStore` cache.
     """
     from .service.store import STORE_FORMAT, UNIT_STYLE  # deferred: service imports us
 
@@ -325,38 +307,10 @@ def compile_unit_record(unit: ProgramUnit, manager: Optional[BDDManager] = None)
     graph.check_causality(hierarchy)
     schedule = build_schedule(canonical, hierarchy, graph)
 
-    irs = {
-        style: build_step_ir(schedule, types, style)
+    ir_by_style = {
+        style.value: ir_to_payload(build_step_ir(schedule, types, style))
         for style in (GenerationStyle.HIERARCHICAL, GenerationStyle.FLAT)
     }
-    ir_by_style = {style.value: ir_to_payload(ir) for style, ir in irs.items()}
-    # Per-unit generated statement bodies, emitted once here and reused by
-    # every link of this unit: the linker only offsets flag ids, renames
-    # canonical signals and fills the @@ROOT@@ placeholders (presence keys,
-    # defaults and columnar root positions exist only for the linked
-    # program), then frames the concatenated bodies -- whole-program code
-    # is never re-emitted statement by statement on the modular path.
-    emit_by_style = {}
-    for style, ir in irs.items():
-        helpers, nonfinite = scan_statement_arithmetic(ir.statements)
-        reads, writes, uses_clock_input = scan_statement_io(ir.statements)
-        emit_by_style[style.value] = {
-            "python": emit_python_statement_lines(
-                ir.statements, indent=2, observable=True,
-                root_line=root_placeholder_line,
-            ),
-            "c": emit_c_statement_lines(
-                ir.statements, indent=1, root_line=root_placeholder_line
-            ),
-            "c_shared": emit_shared_statement_lines(
-                ir.statements, {}, indent=2, root_line=root_placeholder_line
-            ),
-            "helpers": sorted(helpers),
-            "nonfinite": nonfinite,
-            "reads": reads,
-            "writes": writes,
-            "uses_clock_input": uses_clock_input,
-        }
     class_ids = sorted(c.id for c in hierarchy.classes if not c.is_null)
     all_ids = [c.id for c in hierarchy.classes]
     for payload in ir_by_style.values():
@@ -387,7 +341,6 @@ def compile_unit_record(unit: ProgramUnit, manager: Optional[BDDManager] = None)
             {"id": c.id, "atoms": _serialize_atoms(c.atoms)} for c in free
         ],
         "ir": ir_by_style,
-        "emit": emit_by_style,
         "artifacts": {
             "forest": hierarchy.render_forest(),
             "free": [c.display_name() for c in free],
@@ -445,9 +398,8 @@ class LinkedCompilationResult:
     process: Optional[Process] = None
     executable: Optional[CompiledProcess] = None
     executable_flat: Optional[CompiledProcess] = None
-    _linked_irs: Dict[GenerationStyle, StepIR] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: generated sources by ``(backend, style value)``; the linked IR itself
+    #: is never kept (see :meth:`step_ir`)
     _linked_sources: Dict[tuple, str] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -470,7 +422,6 @@ class LinkedCompilationResult:
             "max_class_id": record["max_class_id"],
             "signal_class": record["signal_class"],
             "free_classes": record["free_classes"],
-            "emit": (record.get("emit") or {}).get(style.value),
             "types": {
                 rename.get(name, name): SignalType(value)
                 for name, value in record["types"].items()
@@ -484,45 +435,39 @@ class LinkedCompilationResult:
         ]
 
     def step_ir(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> StepIR:
-        ir = self._linked_irs.get(style)
-        if ir is None:
-            ir = link_step_ir(
-                self.program.name,
-                style,
-                self._parts(style),
-                self.program.inputs,
-                self.program.outputs,
-            )
-            self._linked_irs[style] = ir
-        return ir
+        """Link the unit IR payloads of ``style`` into one :class:`StepIR`.
+
+        Linked anew on every call and never kept: cached results then hold
+        only text, which costs less memory than a linked IR, and every
+        source is memoized after its first emission.
+        """
+        return link_step_ir(
+            self.program.name,
+            style,
+            self._parts(style),
+            self.program.inputs,
+            self.program.outputs,
+        )
 
     def _linked_source(self, backend: str, style: GenerationStyle) -> str:
-        """Generated source via the incremental path, with full-IR fallback.
+        """The generated source of ``backend``, emitted from the linked IR.
 
-        Composes the cached per-unit bodies when every unit record carries
-        an emit cache; unit records written before per-unit emission fall
-        back to emitting from the fully linked IR.  Both paths produce
-        byte-identical text (the fuzz suite asserts it), so the composed
-        source is memoized under the same key either way.
+        A miss links once and emits every backend not yet memoized for
+        ``style``: the record path needs all three, and the observable
+        python text is usually memoized already by the live executable.
         """
-        cached = self._linked_sources.get((backend, style.value))
-        if cached is not None:
-            return cached
-        parts = self._parts(style)
-        arguments = (self.program.name, style, parts, self.program.inputs, self.program.outputs)
-        if backend == "python":
-            source = link_python_source(*arguments)
-            if source is None:
-                source = generate_python_source(self.step_ir(style))
-        elif backend == "c":
-            source = link_c_source(*arguments)
-            if source is None:
-                source = generate_c_source(self.step_ir(style))
-        else:
-            source = link_c_shared_source(*arguments)
-            if source is None:
-                source = generate_c_shared_source(self.step_ir(style))
-        self._linked_sources[(backend, style.value)] = source
+        key = (backend, style.value)
+        source = self._linked_sources.get(key)
+        if source is None:
+            ir = self.step_ir(style)
+            for name, generate in (
+                ("python", generate_python_source),
+                ("c", generate_c_source),
+                ("c_shared", generate_c_shared_source),
+            ):
+                if (name, style.value) not in self._linked_sources:
+                    self._linked_sources[(name, style.value)] = generate(ir)
+            source = self._linked_sources[key]
         return source
 
     def python_source(self, style: GenerationStyle = GenerationStyle.HIERARCHICAL) -> str:
@@ -584,37 +529,16 @@ class LinkedCompilationResult:
 def _linked_executable(
     result: LinkedCompilationResult, style: GenerationStyle, observable: bool
 ) -> CompiledProcess:
-    name = result.program.name
-    if observable:
-        # Incremental path: concatenate the cached per-unit python bodies
-        # instead of linking a full StepIR first.  The interface (inputs,
-        # outputs, root flags) is recomputed from the unit payloads alone.
-        parts = result._parts(style)
-        source = link_python_source(
-            name, style, parts, result.program.inputs, result.program.outputs
-        )
-        if source is not None:
-            result._linked_sources.setdefault(("python", style.value), source)
-            interface = link_interface(
-                parts, result.program.inputs, result.program.outputs
-            )
-            return CompiledProcess(
-                name=name,
-                style=style,
-                source=source,
-                ir=None,
-                inputs=list(interface["inputs"]),
-                outputs=list(interface["outputs"]),
-                root_flags=list(interface["root_flags"]),
-                types=dict(result.types),
-                observable=observable,
-            )
+    """Link ``style`` once and emit only its python step (``ir=None``)."""
     ir = result.step_ir(style)
+    source = generate_python_source(ir, observable=observable)
+    if observable:
+        result._linked_sources[("python", style.value)] = source
     return CompiledProcess(
         name=ir.name,
         style=style,
-        source=generate_python_source(ir, observable=observable),
-        ir=ir,
+        source=source,
+        ir=None,
         inputs=list(ir.inputs),
         outputs=list(ir.outputs),
         root_flags=list(ir.root_flags),

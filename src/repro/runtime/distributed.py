@@ -15,7 +15,8 @@ the harness is built, and advances the fragments **instant by instant**:
   containing a channel signal take their presence from the producer
   ("did the value arrive this instant"), all other classes map back onto
   a free clock of the *monolithic* program and read the driving schedule
-  directly.  A fragment clock that is neither is constrained at another
+  directly, falling back to that clock's monolithic default when an
+  instant omits it.  A fragment clock that is neither is constrained at another
   location -- the partition is rejected when the harness is built;
 * the wiring plan of a fragment (its external inputs, the producer of
   each channel input, its flag plans and its channel outputs) is fixed at
@@ -115,7 +116,7 @@ class FragmentRuntime:
     fragment: Fragment
     result: object
     #: per root flag of the fragment executable: ``(key, "channel", members)``
-    #: or ``(key, "external", monolithic_key)``
+    #: or ``(key, "external", (monolithic_key, monolithic_default))``
     flag_plans: List[Tuple[str, str, object]] = field(default_factory=list)
     #: channel outputs grouped by consumer location, in topological order
     sends: List[Tuple[str, List[str]]] = field(default_factory=list)
@@ -131,10 +132,12 @@ class FragmentRuntime:
         return self.result.executable
 
     @property
-    def external_flags(self) -> List[Tuple[str, str]]:
-        """``(key, monolithic_key)`` of every flag read off the schedule."""
+    def external_flags(self) -> List[Tuple[str, str, bool]]:
+        """``(key, monolithic_key, monolithic_default)`` of every flag read
+        off the schedule: an instant that omits the monolithic flag means
+        what it means to the monolithic step, its default."""
         return [
-            (key, payload) for key, kind, payload in self.flag_plans
+            (key, *payload) for key, kind, payload in self.flag_plans
             if kind == "external"
         ]
 
@@ -151,13 +154,13 @@ class FragmentRuntime:
         """Whether the driving instant itself is this fragment's input.
 
         True when every input is external and every free clock reads the
-        monolithic flag of the same key whose absence means absent: the
-        generated step then reads from the instant exactly what a copy of
-        the fragment's inputs would hold (the step only reads its inputs).
+        monolithic flag of the same key and the same default: the generated
+        step then reads from the instant exactly what a copy of the
+        fragment's inputs would hold (the step only reads its inputs).
         """
         executable = self.executable
         return set(executable.inputs) <= set(self.fragment.external_inputs) and all(
-            kind == "external" and payload == key and not default
+            kind == "external" and payload == (key, default)
             for (key, kind, payload), (_cid, _key, default) in zip(
                 self.flag_plans, executable.root_flags
             )
@@ -224,8 +227,8 @@ def render_composite_module(
             lines.append(f"            o{k} = step{k}(instant)")
             continue
         flags = [
-            f"{key!r}: bool(get({monolithic!r}, False))"
-            for key, monolithic in runtime.external_flags
+            f"{key!r}: bool(get({monolithic!r}, {default!r}))"
+            for key, monolithic, default in runtime.external_flags
         ] + [
             f"{key!r}: "
             + " or ".join(
@@ -388,8 +391,8 @@ class DistributedProgram:
                                 name: instant[name] for name in external if name in instant
                             },
                             "flags": {
-                                key: bool(instant.get(monolithic, False))
-                                for key, monolithic in flags
+                                key: bool(instant.get(monolithic, default))
+                                for key, monolithic, default in flags
                             },
                         }
                     )
@@ -466,7 +469,7 @@ def _fragment_worker(control, in_conns, out_conns, payload) -> None:
 def _plan_fragment_flags(
     runtime_result,
     fragment: Fragment,
-    monolithic_atoms_by_key: Dict[Tuple[str, str], str],
+    monolithic_flags_by_atom: Dict[Tuple[str, str], Tuple[str, bool]],
 ) -> List[Tuple[str, str, object]]:
     """Decide, per fragment free clock, where its presence comes from."""
     plans: List[Tuple[str, str, object]] = []
@@ -485,19 +488,19 @@ def _plan_fragment_flags(
         if members:
             plans.append((key, "channel", members))
             continue
-        monolithic_key = None
+        monolithic = None
         for atom in atoms:
-            monolithic_key = monolithic_atoms_by_key.get(atom)
-            if monolithic_key is not None:
+            monolithic = monolithic_flags_by_atom.get(atom)
+            if monolithic is not None:
                 break
-        if monolithic_key is None:
+        if monolithic is None:
             names = ", ".join(signal for _kind, signal in atoms) or key
             raise PartitionError(
                 f"fragment {fragment.location!r}: the clock of {names} is free"
                 " locally but constrained at another location; co-locate the"
                 " constraint or annotate the signals explicitly"
             )
-        plans.append((key, "external", monolithic_key))
+        plans.append((key, "external", monolithic))
     return plans
 
 
@@ -537,12 +540,12 @@ def build_distributed(
     try:
         partitioned = partition_program(program)
         reference = service.compile_process(process, style=style, program=program)
-        monolithic_atoms_by_key: Dict[Tuple[str, str], str] = {}
-        for (cid, key, _default), atoms in zip(
+        monolithic_flags_by_atom: Dict[Tuple[str, str], Tuple[str, bool]] = {}
+        for (cid, key, default), atoms in zip(
             reference.executable.root_flags, _root_flag_atoms(reference)
         ):
             for atom in atoms:
-                monolithic_atoms_by_key[atom] = key
+                monolithic_flags_by_atom[atom] = (key, default)
 
         consumer_order = {loc: i for i, loc in enumerate(partitioned.assignment.locations)}
         runtimes: List[FragmentRuntime] = []
@@ -568,7 +571,7 @@ def build_distributed(
                     fragment=fragment,
                     result=result,
                     flag_plans=_plan_fragment_flags(
-                        result, fragment, monolithic_atoms_by_key
+                        result, fragment, monolithic_flags_by_atom
                     ),
                     sends=sorted(
                         sends.items(), key=lambda item: consumer_order[item[0]]

@@ -267,23 +267,191 @@ def test_clear_cache_drops_linked_results():
         assert stats["cache_hits"] == 0
 
 
-def test_incremental_link_is_byte_identical_to_ir_emission():
-    """The linker's concatenated per-unit bodies must equal re-emitting the
-    fully linked IR, byte for byte, for every backend and style."""
-    from repro.codegen.c_backend import generate_c_shared_source, generate_c_source
+# -- one link path ------------------------------------------------------------
+#
+# Linked programs are emitted from the linked step IR by the ordinary
+# backends.  The digests below were recorded when linked sources were still
+# spliced from per-unit emitted bodies, so they prove that emitting from
+# the IR moved no byte.
+
+#: The differential fuzzer's fleet (tests/test_differential_fuzz.py).
+_DIGEST_FLEET = FleetSpec(
+    name="FUZZFLEET", programs=6, library_size=8, units_per_program=4,
+    shared_units=2, seed=19950621,
+)
+
+#: First 16 hex digits of the sha256 of each linked program's python, C
+#: and ``c_shared`` sources, hierarchical style first, then flat.
+_LINKED_SOURCE_DIGESTS = {
+    "STOPWATCH": (
+        "a9cf6875da593879", "cdb5c30d2fa567a9", "e58022eb59a98156",
+        "590c3bceee294c75", "1d9beb1113983722", "c6ae775ccbe20c03",
+    ),
+    "WATCH": (
+        "9def1c9f0d327fa4", "a6af2186983fee99", "3bc62d79d4ed0bfb",
+        "09cf632d3cf6bf16", "e54139cbbe76cde9", "3a0e1d5bc8fb527c",
+    ),
+    "ALARM": (
+        "849325581fbd2a3f", "94318472b35dbc43", "96d57b073705218c",
+        "54e249f308834528", "c9954fdda36f718f", "b4fe770b0d11c272",
+    ),
+    "CHRONO": (
+        "b82a9b0611c1d347", "96e2c39caefe7075", "e2df27699de72947",
+        "5344d41948ef20fc", "de77494a4b5ba4db", "7c10419d793f0d25",
+    ),
+    "SUPERVISOR": (
+        "d200b4e2765a8126", "101057aa6177c3ea", "ee7102f413f04465",
+        "46fe929ab2640844", "4db86079cc231856", "d424d5af0d023804",
+    ),
+    "PACE_MAKER": (
+        "84c40f3aeeea04fc", "865453984805f3f5", "5c6b5d6d65e32d0b",
+        "fc2730ccc6f8c206", "7b56ba3ae25cbc50", "39f872093971c9f0",
+    ),
+    "ROBOT": (
+        "7e53640f510f66cb", "bac607ccdd77c6b9", "f344b37339e358d1",
+        "d88f8ac553bdd29c", "7c6ce4b9297389a1", "486b199088b395f9",
+    ),
+    "FUZZFLEET0": (
+        "4b3c6b07440392ba", "663942eeba407979", "5bbb4b254e6b137b",
+        "8ed6bd60e6b1efa2", "36047d78fb7ca4be", "1d8f981541973ff7",
+    ),
+    "FUZZFLEET1": (
+        "e93ec037a5eec456", "4361a0a06fb46fc4", "16da3bab0b77a760",
+        "5891076336c34714", "e050f030c5b66fb0", "372e2984bede86cc",
+    ),
+    "FUZZFLEET2": (
+        "2645a5fca385f28f", "78287d5267b29c86", "b7b501fe0164aab1",
+        "2b23bb2a9a61e0cf", "a1a3266ebb260d66", "009c5917003ca731",
+    ),
+    "FUZZFLEET3": (
+        "532956bace777b76", "10cb03b5f0b65f6e", "67223730c2fdb3f2",
+        "0f893abaa062d331", "60d0f4a0cd508463", "02db95a5e8fab46d",
+    ),
+    "FUZZFLEET4": (
+        "f9cb52553992c9ec", "19a705989ed9b75e", "f4a60200f6a10af7",
+        "c36986339e34bb67", "2ab5ea9ddf1a4d3f", "b1f5a06084f643b7",
+    ),
+    "FUZZFLEET5": (
+        "52f784db84c23a13", "a75f85e288f578ab", "5ae187fe016b8da5",
+        "5c69eb9bbccfeb05", "2b9f167bbd44c189", "dbc24c03d4e5ed1b",
+    ),
+}
+
+
+def _linked_source_digests(linked):
+    import hashlib
+
     from repro.codegen.ir import GenerationStyle
-    from repro.codegen.python_backend import generate_python_source
+
+    digests = []
+    for style in (GenerationStyle.HIERARCHICAL, GenerationStyle.FLAT):
+        for text in (
+            linked.python_source(style),
+            linked.c_source(style),
+            linked.c_shared_source(style),
+        ):
+            digests.append(hashlib.sha256(text.encode()).hexdigest()[:16])
+    return tuple(digests)
+
+
+def test_linked_sources_match_pinned_digests():
+    """The Figure-13 programs and the fuzz fleet, linked through
+    ``compile_modular``, emit the pinned bytes in every backend and style,
+    and the live executable runs exactly the linked python source."""
+    from repro.codegen.ir import GenerationStyle
+    from repro.programs import benchmark_names, benchmark_source
+
+    sources = [benchmark_source(name) for name in benchmark_names()]
+    sources += generate_fleet(_DIGEST_FLEET)
+    digests = {}
+    with CompilationService() as service:
+        for source in sources:
+            linked = service.compile_modular(source, build_flat=True)
+            digests[linked.name] = _linked_source_digests(linked)
+            assert linked.executable.source == linked.python_source(
+                GenerationStyle.HIERARCHICAL
+            )
+    assert digests == _LINKED_SOURCE_DIGESTS
+
+
+@pytest.fixture
+def link_calls(monkeypatch):
+    """Counts linked IRs by style and C emissions on the modular path."""
+    from repro import compiler
+
+    calls = {"link": [], "c": 0, "c_shared": 0}
+    real_link = compiler.link_step_ir
+    real_c = compiler.generate_c_source
+    real_c_shared = compiler.generate_c_shared_source
+
+    def link(name, style, *args):
+        calls["link"].append(style)
+        return real_link(name, style, *args)
+
+    def c(ir):
+        calls["c"] += 1
+        return real_c(ir)
+
+    def c_shared(ir):
+        calls["c_shared"] += 1
+        return real_c_shared(ir)
+
+    monkeypatch.setattr(compiler, "link_step_ir", link)
+    monkeypatch.setattr(compiler, "generate_c_source", c)
+    monkeypatch.setattr(compiler, "generate_c_shared_source", c_shared)
+    return calls
+
+
+def _holds_step_ir(linked):
+    from repro.codegen.ir import StepIR
+
+    values = list(vars(linked).values())
+    values += [v for value in values if isinstance(value, dict) for v in value.values()]
+    values += [linked.executable.ir, linked.executable_flat.ir]
+    return any(isinstance(value, StepIR) for value in values)
+
+
+def test_live_modular_compile_emits_python_only(link_calls):
+    """A live ``compile_modular`` links each style once and emits only its
+    python step, cold and on a unit-warm novel program, and the cached
+    result keeps no linked IR."""
+    from repro.codegen.ir import GenerationStyle
+
+    reordered = _assemble_program("REORDERED", list(reversed(LIBRARY)))
+    with CompilationService() as service:
+        for source in (_BASE_SOURCE, reordered):
+            misses = service.statistics()["unit_misses"]
+            linked = service.compile_modular(source, build_flat=True)
+            if source is reordered:
+                assert service.statistics()["unit_misses"] == misses
+            assert (link_calls["c"], link_calls["c_shared"]) == (0, 0)
+            assert link_calls["link"] == [
+                GenerationStyle.HIERARCHICAL, GenerationStyle.FLAT
+            ]
+            assert linked.executable.ir is None
+            assert linked.executable_flat.ir is None
+            assert not _holds_step_ir(linked)
+            assert set(linked._linked_sources) == {
+                ("python", "hierarchical"), ("python", "flat")
+            }
+            link_calls["link"].clear()
+
+
+@pytest.mark.parametrize("observable", [True, False])
+def test_modular_record_miss_links_at_most_twice_per_style(link_calls, observable):
+    """A modular record miss links each style for the live executables and
+    at most once more, for every source the record renders."""
+    from repro.codegen.ir import GenerationStyle
 
     with CompilationService() as service:
-        linked = service.compile_modular(_LINK_SOURCE, build_flat=True)
+        record, origin = service.record_for(
+            _LINK_SOURCE, build_flat=True, observable=observable, modular=True
+        )
+    assert origin == "compiled"
+    assert record["artifacts"]["c"] and record["artifacts"]["c_shared"]
+    assert (link_calls["c"], link_calls["c_shared"]) == (1, 1)
     for style in GenerationStyle:
-        ir = linked.step_ir(style)
-        assert linked.python_source(style) == generate_python_source(ir)
-        assert linked.c_source(style) == generate_c_source(ir)
-        assert linked.c_shared_source(style) == generate_c_shared_source(ir)
-    assert linked.executable.source == linked.python_source(
-        GenerationStyle.HIERARCHICAL
-    )
+        assert link_calls["link"].count(style) <= 2
 
 
 def test_batch_fan_out_matches_serial_modular():

@@ -528,9 +528,10 @@ def test_flat_multiprocess_matches_and_reaps_without_the_composite(step_loads):
 def test_source_fragment_reads_the_instant_only_where_equivalent():
     """A fragment is handed the driving instant itself only when its
     inputs are all external and its free clocks are the monolithic flags
-    of the same key, absence meaning absent: dropping the false flags from
-    every instant then changes nothing.  A free clock that defaults to
-    present (the annotated corpus's single edge clock) keeps the wiring."""
+    of the same key and default: dropping the false flags from every
+    instant then changes nothing.  The annotated corpus's single edge
+    clock defaults to present in the fragment and in the monolithic
+    program alike, so that edge fragment reads the instant too."""
     distributed = build_distributed(source=EDGE_CLOUD_SOURCE, service=_SERVICE)
     edge, cloud = distributed.runtimes
     assert edge.reads_instant and not cloud.reads_instant
@@ -549,7 +550,28 @@ def test_source_fragment_reads_the_instant_only_where_equivalent():
         source=generate_control_program(distributed_spec_for_seed(0)),
         service=_SERVICE,
     )
-    assert not any(runtime.reads_instant for runtime in corpus.runtimes)
+    assert [runtime.reads_instant for runtime in corpus.runtimes] == [True, False]
+
+
+@pytest.mark.parametrize("mode", ["run", "run_multiprocess"])
+def test_schedule_omitting_a_free_clock_flag_matches_monolithic(mode):
+    """An instant without a free clock's flag means that clock's default,
+    in the composite as in the monolithic step.  The annotated corpus's
+    single free clock defaults to present, so a schedule that omits its
+    flag still drives every fragment."""
+    distributed = build_distributed(
+        source=generate_control_program(distributed_spec_for_seed(0)),
+        service=_SERVICE,
+    )
+    ((_cid, key, default),) = distributed.reference.executable.root_flags
+    assert default is True
+    schedule = [
+        {name: value for name, value in instant.items() if name != key}
+        for instant in _schedule(distributed, steps=8, seed=random.Random(1))
+    ]
+    want = _monolithic_trace(distributed, schedule)
+    assert any(want)
+    assert getattr(distributed, mode)(schedule) == want
 
 
 def test_concurrent_runs_share_one_composite(step_loads):
